@@ -10,9 +10,11 @@ polynomial.
 
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
-match.  It is decided by joint color refinement followed by a
-backtracking search; a returned witness is always re-verified edge by
-edge.
+match.  It is decided by joint color refinement followed by an
+iterative backtracking search on an explicit stack.  The search keeps a
+candidate list per unmapped vertex and filters it incrementally as
+vertices are mapped, undoing the filtering from a trail on backtrack.
+A returned witness is always re-verified edge by edge.
 """
 
 from __future__ import annotations
@@ -181,6 +183,86 @@ def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool)
     return colors1, colors2, out1, in1, out2, in2
 
 
+def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
+    """Backtracking search for a bijection v -> w between the vertices of
+    two quivers that keeps refined colors, loop counts and the edge
+    multiplicities between every two mapped vertices.  Returns
+    mapping[v1] = v2, or None when there is none.
+
+    Every unmapped vertex u of q1 keeps the ascending list of the q2
+    vertices it can still map to.  Assigning v -> w filters only these
+    lists: it drops w, and keeps w' for u when the edges u -> v and
+    v -> u are as many as w' -> w and w -> w'.  That is the pairwise
+    compatibility test against all mapped vertices, done one mapped
+    vertex at a time.  A filtered list replaces its predecessor, which
+    goes on a trail that backtracking unwinds.  The search branches on
+    the unmapped vertex with the fewest candidates, the lowest index on
+    a tie, and runs on an explicit stack, so its depth is not bounded
+    by the recursion limit.
+    """
+    n = len(colors1)
+    by_color: dict[int, list[int]] = {}
+    for w, col in enumerate(colors2):
+        by_color.setdefault(col, []).append(w)
+    cand = []
+    for v in range(n):
+        loops = out1[v].get(v, 0)
+        cand.append([w for w in by_color[colors1[v]] if out2[w].get(w, 0) == loops])
+    if not all(cand):
+        return None
+
+    mapping = [-1] * n
+    trail: list[tuple[int, list[int]]] = []
+
+    def assign(v: int, w: int) -> bool:
+        """Map v -> w and filter the lists; False when one runs empty."""
+        mapping[v] = w
+        to_v, from_v = in1[v].get, out1[v].get
+        to_w, from_w = in2[w].get, out2[w].get
+        for u in range(n):
+            if mapping[u] >= 0:
+                continue
+            a, b = to_v(u, 0), from_v(u, 0)
+            old = cand[u]
+            new = [x for x in old if x != w and to_w(x, 0) == a and from_w(x, 0) == b]
+            if len(new) < len(old):
+                trail.append((u, old))
+                cand[u] = new
+                if not new:
+                    return False
+        return True
+
+    def select() -> int:
+        best_v, best_len = -1, n + 1
+        for v in range(n):
+            if mapping[v] < 0 and len(cand[v]) < best_len:
+                best_v, best_len = v, len(cand[v])
+                if best_len <= 1:
+                    break
+        return best_v
+
+    # A frame is [vertex, its candidates, next candidate index, trail length].
+    v = select()
+    stack = [[v, cand[v], 0, 0]]
+    while stack:
+        frame = stack[-1]
+        v, options, i, mark = frame
+        while len(trail) > mark:
+            u, old = trail.pop()
+            cand[u] = old
+        mapping[v] = -1
+        if i == len(options):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        if assign(v, options[i]):
+            v = select()
+            if v < 0:
+                return mapping
+            stack.append([v, cand[v], 0, len(trail)])
+    return None
+
+
 def quiver_isomorphic(
     q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -207,66 +289,8 @@ def quiver_isomorphic(
     refined = _joint_refine(q1, q2, respect_weights)
     if refined is None:
         return (False, None)
-    colors1, colors2, out1, in1, out2, in2 = refined
-
-    by_color: dict[int, list[int]] = {}
-    for w, col in enumerate(colors2):
-        by_color.setdefault(col, []).append(w)
-
-    mapping = [-1] * n
-    inverse = [-1] * n
-
-    def compatible(v: int, w: int) -> bool:
-        if out1[v][v] != out2[w][w]:
-            return False
-        for u, mult in out1[v].items():
-            img = mapping[u]
-            if img >= 0 and out2[w].get(img, 0) != mult:
-                return False
-        for u, mult in in1[v].items():
-            img = mapping[u]
-            if img >= 0 and in2[w].get(img, 0) != mult:
-                return False
-        for u2, mult in out2[w].items():
-            pre = inverse[u2]
-            if pre >= 0 and out1[v].get(pre, 0) != mult:
-                return False
-        for u2, mult in in2[w].items():
-            pre = inverse[u2]
-            if pre >= 0 and in1[v].get(pre, 0) != mult:
-                return False
-        return True
-
-    def candidates(v: int) -> list[int]:
-        return [
-            w for w in by_color[colors1[v]] if inverse[w] < 0 and compatible(v, w)
-        ]
-
-    def search() -> bool:
-        best_v = -1
-        best: Optional[list[int]] = None
-        for v in range(n):
-            if mapping[v] >= 0:
-                continue
-            cand = candidates(v)
-            if best is None or len(cand) < len(best):
-                best_v, best = v, cand
-                if not cand:
-                    return False
-                if len(cand) == 1:
-                    break
-        if best is None:
-            return True
-        for w in best:
-            mapping[best_v] = w
-            inverse[w] = best_v
-            if search():
-                return True
-            mapping[best_v] = -1
-            inverse[w] = -1
-        return False
-
-    if not search():
+    mapping = _search(*refined)
+    if mapping is None:
         return (False, None)
 
     witness = tuple(mapping)

@@ -1,6 +1,7 @@
 """Catalog loading/validation and the command-line frontend."""
 
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,18 @@ def test_cli_deterministic_output(capsys):
         return json.dumps(blob)
 
     assert snap() == snap()
+
+
+def test_cli_timing_counts_catalog_load(capsys, monkeypatch):
+    from quiverknot import cli
+
+    def slow_load():
+        time.sleep(0.05)
+        return load_catalog()
+
+    monkeypatch.setattr(cli, "load_catalog", slow_load)
+    blob = run_json(capsys, "colorings", "--knot", "3_1", "--quandle", "dihedral:3")
+    assert blob["timing"]["seconds"] >= 0.05
 
 
 def test_cli_exit_codes(capsys):

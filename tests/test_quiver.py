@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from quiverknot.quandle import (
 )
 from quiverknot.quiver import (
     WeightedQuiver,
+    _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
     quiver_isomorphic,
@@ -278,3 +280,107 @@ def test_weighted_verdict_tracks_multiset_equality(catalog):
     iso, _ = quiver_isomorphic(q31, q61, respect_weights=True)
     same = invariant_multiset(d31, R3, theta) == invariant_multiset(d61, R3, theta)
     assert iso == same
+
+
+def test_long_rigid_path_needs_no_recursion():
+    # one search level per vertex: deeper than the default recursion limit
+    n = 1100
+    path = WeightedQuiver(tuple(range(n)), tuple((i, i + 1, 0) for i in range(n - 1)), ())
+    assert quiver_isomorphic(path, path) == (True, tuple(range(n)))
+
+
+def brute_force_isomorphic(q1, q2, respect_weights):
+    """Oracle: try every vertex permutation."""
+    n = q1.n_vertices
+    if n != q2.n_vertices:
+        return False
+    target = Counter((s, t) for s, t, _ in q2.edges)
+    for perm in permutations(range(n)):
+        if respect_weights and any(q1.weights[v] != q2.weights[perm[v]] for v in range(n)):
+            continue
+        if Counter((perm[s], perm[t]) for s, t, _ in q1.edges) == target:
+            return True
+    return False
+
+
+def random_quiver(rng, n, m, weighted):
+    edges = [(rng.randrange(n), rng.randrange(n), 0) for _ in range(m)]
+    edges += edges[:2]  # parallel edges, and parallel loops when s == t
+    weights = tuple(rng.randrange(2) for _ in range(n)) if weighted else None
+    return WeightedQuiver(tuple(range(n)), tuple(edges), (), weights, 2 if weighted else None)
+
+
+def relabelled(q, perm, weights=None):
+    """q with vertex v renamed perm[v]; ``weights`` replaces the moved weights."""
+    if weights is None and q.weights is not None:
+        weights = [0] * q.n_vertices
+        for v, w in enumerate(q.weights):
+            weights[perm[v]] = w
+    return WeightedQuiver(
+        q.vertices, tuple((perm[s], perm[t], e) for s, t, e in q.edges), q.endos,
+        None if weights is None else tuple(weights), q.weight_modulus,
+    )
+
+
+def test_search_matches_brute_force_oracle():
+    rng = random.Random(20040124)
+    verdicts = Counter()
+    for trial in range(90):
+        n = 1 + trial % 7
+        weighted = trial % 2 == 1
+        m = rng.randint(0, 2 * n)
+        q1 = random_quiver(rng, n, m, weighted)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = list(q1.edges)
+        if moved:
+            s, t, e = moved[0]
+            moved[0] = (s, rng.randrange(n), e)
+        moved = WeightedQuiver(q1.vertices, tuple(moved), (), q1.weights, q1.weight_modulus)
+        pairs = [relabelled(q1, perm), relabelled(moved, perm), random_quiver(rng, n, m, weighted)]
+        if weighted:
+            shuffled = list(q1.weights)
+            rng.shuffle(shuffled)
+            pairs.append(relabelled(q1, perm, weights=shuffled))
+        for q2 in pairs:
+            for respect in ((False, True) if weighted else (False,)):
+                expected = brute_force_isomorphic(q1, q2, respect)
+                iso, witness = quiver_isomorphic(q1, q2, respect_weights=respect)
+                assert iso == expected, (trial, respect)
+                assert iso == (witness is not None)
+                if iso:
+                    assert _verify_witness(q1, q2, witness, respect)
+                verdicts[(respect, iso)] += 1
+        assert quiver_isomorphic(q1, pairs[0], respect_weights=weighted)[0]
+    # both verdicts occur, with and without weights
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_verdicts_match_networkx(catalog):
+    nx = pytest.importorskip("networkx")
+
+    def as_graph(q):
+        g = nx.MultiDiGraph()
+        for v in range(q.n_vertices):
+            g.add_node(v, weight=None if q.weights is None else q.weights[v])
+        g.add_edges_from((s, t) for s, t, _ in q.edges)
+        return g
+
+    def same_weight(a, b):
+        return a["weight"] == b["weight"]
+
+    names = catalog.names()
+    for p in (3, 5, 7):
+        Rp = make_dihedral(p)
+        end = enumerate_homs(Rp, Rp)
+        theta = mochizuki(p)
+        plain = {k: coloring_quiver(catalog.diagram(k), Rp, end) for k in names}
+        weighted = {k: shadow_cocycle_quiver(catalog.diagram(k), Rp, end, 0, theta)
+                    for k in names}
+        graphs = {k: as_graph(q) for k, q in plain.items()}
+        wgraphs = {k: as_graph(q) for k, q in weighted.items()}
+        for a, b in combinations(names, 2):
+            assert quiver_isomorphic(plain[a], plain[b])[0] == nx.is_isomorphic(
+                graphs[a], graphs[b]), (p, a, b)
+            assert quiver_isomorphic(weighted[a], weighted[b], respect_weights=True)[0] == (
+                nx.is_isomorphic(wgraphs[a], wgraphs[b], node_match=same_weight)), (p, a, b)
