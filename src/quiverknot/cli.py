@@ -23,7 +23,7 @@ import time
 from typing import Optional, Sequence
 
 from .catalog import Catalog, CatalogError, load_catalog
-from .cocycle import invariant_multiset, mochizuki, multiset_to_json
+from .cocycle import Cocycle3, invariant_multiset, mochizuki, multiset_to_json
 from .coloring import count_colorings_dihedral, enumerate_colorings
 from .diagram import (
     Diagram,
@@ -38,7 +38,6 @@ from .quandle import (
     QuandleMap,
     enumerate_autos,
     enumerate_homs,
-    is_homomorphism,
     make_alexander,
     make_dihedral,
     parse_table_text,
@@ -108,10 +107,10 @@ def parse_endo_spec(spec: str, X: FiniteQuandle) -> list[QuandleMap]:
             a, b = int(parts[0]) % n, int(parts[1]) % n
         except ValueError:
             raise UsageError(f"bad endo pair {chunk!r} (expected integers)") from None
-        f = QuandleMap(n, n, tuple((a * x + b) % n for x in range(n)), affine_form=(a, b))
-        if not is_homomorphism(f, X, X):
-            raise UsageError(f"map x -> {a}x+{b} is not an endomorphism")
-        endos.append(f)
+        # Every affine map is an endomorphism of R_n, so there is nothing
+        # to reject: f(x*y) = a(2y - x) + b = 2f(y) - f(x) = f(x)*f(y).
+        image = tuple((a * x + b) % n for x in range(n))
+        endos.append(QuandleMap(n, n, image, affine_form=(a, b)))
     return endos
 
 
@@ -159,12 +158,8 @@ def cmd_colorings(args, catalog: Catalog, started: float) -> int:
     return EXIT_OK
 
 
-def _build_quiver(args, catalog: Catalog, weighted: bool):
-    d = resolve_knot(args.knot, catalog)
-    X = parse_quandle_spec(args.quandle)
-    S = parse_endo_spec(args.endos, X)
-    if not weighted:
-        return coloring_quiver(d, X, S)
+def _cocycle(args, X: FiniteQuandle) -> Cocycle3:
+    """The cocycle of ``--cocycle`` over X, after checking ``--base``."""
     if args.cocycle != "mochizuki":
         raise UsageError(f"unknown cocycle {args.cocycle!r} (only 'mochizuki')")
     if not X.is_dihedral:
@@ -172,17 +167,38 @@ def _build_quiver(args, catalog: Catalog, weighted: bool):
     theta = mochizuki(X.order)
     if not 0 <= args.base < X.order:
         raise UsageError(f"base {args.base} out of range 0..{X.order - 1}")
-    return shadow_cocycle_quiver(d, X, S, args.base, theta)
+    return theta
 
 
-def cmd_quiver(args, catalog: Catalog, started: float) -> int:
-    q = _build_quiver(args, catalog, weighted=False)
+def _build_quiver(args, catalog: Catalog, weighted: bool):
+    d = resolve_knot(args.knot, catalog)
+    X = parse_quandle_spec(args.quandle)
+    S = parse_endo_spec(args.endos, X)
+    if not weighted:
+        return coloring_quiver(d, X, S)
+    return shadow_cocycle_quiver(d, X, S, args.base, _cocycle(args, X))
+
+
+def _dot_output(args, q) -> bool:
+    """Write DOT to ``--dot FILE``, or print it for ``--out dot``.
+
+    Returns True when DOT went to stdout and nothing more is printed.
+    DOT is built only when one of the two asks for it.
+    """
+    if not args.dot and args.out != "dot":
+        return False
     dot = to_dot(q, collapse_parallel=args.collapse_parallel)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")
-    if args.out == "dot" and not args.dot:
-        print(dot)
+        return False
+    print(dot)
+    return True
+
+
+def cmd_quiver(args, catalog: Catalog, started: float) -> int:
+    q = _build_quiver(args, catalog, weighted=False)
+    if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {"vertices": q.n_vertices, "edges": q.n_edges}
     if args.out == "json":
@@ -203,12 +219,7 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
     histogram: dict[int, int] = {}
     for w in q.weights:
         histogram[w] = histogram.get(w, 0) + 1
-    dot = to_dot(q, collapse_parallel=args.collapse_parallel)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
-    if args.out == "dot" and not args.dot:
-        print(dot)
+    if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {
         "vertices": q.n_vertices,
@@ -241,18 +252,12 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
     dB = resolve_knot(args.knotB, catalog)
     outputs: dict = {}
     if args.weighted:
-        if args.cocycle != "mochizuki":
-            raise UsageError(f"unknown cocycle {args.cocycle!r} (only 'mochizuki')")
-        if not X.is_dihedral:
-            raise UsageError("the mochizuki cocycle needs a dihedral:p quandle")
-        theta = mochizuki(X.order)
-        if not 0 <= args.base < X.order:
-            raise UsageError(f"base {args.base} out of range 0..{X.order - 1}")
+        theta = _cocycle(args, X)
         qA = shadow_cocycle_quiver(dA, X, S, args.base, theta)
         qB = shadow_cocycle_quiver(dB, X, S, args.base, theta)
         iso, witness = quiver_isomorphic(qA, qB, respect_weights=True)
-        mA = invariant_multiset(dA, X, theta)
-        mB = invariant_multiset(dB, X, theta)
+        mA = invariant_multiset(dA, X, theta, colorings=qA.vertices)
+        mB = invariant_multiset(dB, X, theta, colorings=qB.vertices)
         outputs["multisets"] = {
             "A": multiset_to_json(mA),
             "B": multiset_to_json(mB),

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .coloring import ShadowColoring, enumerate_colorings, extend_shadow
+from .coloring import Coloring, ShadowColoring, enumerate_colorings, extend_shadow
 from .diagram import Diagram
 from .quandle import FiniteQuandle, InvalidParameterError
 
@@ -146,17 +146,25 @@ def weight_sum(
 
 
 def invariant_multiset(
-    d: Diagram, X: FiniteQuandle, theta: Cocycle3, base: Optional[int] = None
+    d: Diagram,
+    X: FiniteQuandle,
+    theta: Cocycle3,
+    base: Optional[int] = None,
+    colorings: Optional[Sequence[Coloring]] = None,
 ) -> Counter:
     """The multiset of weight sums over shadow colorings.
 
     With ``base`` fixed, ranges over the shadow colorings whose unbounded
     region carries ``base`` (one per arc coloring); otherwise over all
     shadow colorings (every arc coloring with every base label).
+    ``colorings`` are the X-colorings of D when the caller already has
+    them; otherwise they are enumerated here.
     """
     bases = range(X.order) if base is None else [base]
+    if colorings is None:
+        colorings = enumerate_colorings(d, X)
     counter: Counter = Counter()
-    for c in enumerate_colorings(d, X):
+    for c in colorings:
         for a in bases:
             s = extend_shadow(d, X, c, a)
             counter[weight_sum(d, s, theta)] += 1

@@ -185,14 +185,12 @@ class QuandleMap:
 
 def is_homomorphism(f: QuandleMap, X: FiniteQuandle, Y: FiniteQuandle) -> bool:
     """Exhaustive check of f(x*y) == f(x)*f(y)."""
-    if f.source_order != X.order or f.target_order != Y.order:
-        return False
     img = f.image
-    for x in range(X.order):
-        for y in range(X.order):
-            if img[X.op[x][y]] != Y.op[img[x]][img[y]]:
-                return False
-    return True
+    if f.source_order != X.order or f.target_order != Y.order or len(img) != X.order:
+        return False
+    if not 0 <= min(img) <= max(img) < Y.order:
+        return False
+    return _image_is_hom(img, X.op, Y.op)
 
 
 def _image_is_hom(img: Sequence[int], Xop, Yop) -> bool:
@@ -227,32 +225,72 @@ def _enumerate_dihedral_endos(n: int) -> list[QuandleMap]:
 
 
 def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
-    """All homomorphisms X -> Y by image assignment with early pruning."""
+    """All homomorphisms X -> Y by branching with closure propagation.
+
+    Assigned elements are closed under ``*``: once x and y have images,
+    x*y is forced to f(x)*f(y), or checked against the image it already
+    has.  The trail lists the assigned elements in assignment order and
+    doubles as the propagation queue; an element is paired with every
+    element before it and with itself when its turn comes, so on a
+    complete assignment each of the n^2 relations has been checked
+    exactly once.  The search branches only on the lowest free element,
+    runs on an explicit stack and undoes assignments from the trail.
+    """
     n, m = X.order, Y.order
+    Xop, Yop = X.op, Y.op
     img = [-1] * n
+    trail: list[int] = []
     out: list[tuple[int, ...]] = []
 
-    def consistent(k: int) -> bool:
-        # every constraint whose three participants are all assigned,
-        # restricted to pairs involving only 0..k
-        for x in range(k + 1):
-            for y in range(k + 1):
-                t = X.op[x][y]
-                if t <= k and img[t] != Y.op[img[x]][img[y]]:
+    def propagate(done: int) -> bool:
+        """Close the assignment from trail[done] on; False on a clash."""
+        while done < len(trail):
+            x = trail[done]
+            fx = img[x]
+            if Yop[fx][fx] != fx:
+                return False  # the relation x*x == x
+            row_x, frow_x = Xop[x], Yop[fx]
+            for j in range(done):
+                y = trail[j]
+                fy = img[y]
+                t, v = row_x[y], frow_x[fy]
+                if img[t] < 0:
+                    img[t] = v
+                    trail.append(t)
+                elif img[t] != v:
                     return False
+                t, v = Xop[y][x], Yop[fy][fx]
+                if img[t] < 0:
+                    img[t] = v
+                    trail.append(t)
+                elif img[t] != v:
+                    return False
+            done += 1
         return True
 
-    def dfs(k: int) -> None:
-        if k == n:
+    # A frame is [branch element, next value to try, trail length before it].
+    stack = [[0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        x, v, mark = frame
+        for t in trail[mark:]:
+            img[t] = -1
+        del trail[mark:]
+        if v == m:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        img[x] = v
+        trail.append(x)
+        if not propagate(mark):
+            continue
+        nxt = x + 1
+        while nxt < n and img[nxt] >= 0:
+            nxt += 1
+        if nxt == n:
             out.append(tuple(img))
-            return
-        for v in range(m):
-            img[k] = v
-            if consistent(k):
-                dfs(k + 1)
-        img[k] = -1
-
-    dfs(0)
+        else:
+            stack.append([nxt, 0, len(trail)])
     out.sort()
     return [QuandleMap(n, m, image) for image in out]
 

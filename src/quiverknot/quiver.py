@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
-from .coloring import Coloring, apply_endo, enumerate_colorings, extend_shadow
+from .coloring import Coloring, enumerate_colorings, extend_shadow
 from .diagram import Diagram
 from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, is_homomorphism
 
@@ -84,24 +86,71 @@ class Polynomial2:
 
 
 def _check_endos(X: FiniteQuandle, endos: Sequence[QuandleMap]) -> tuple[QuandleMap, ...]:
+    """Check every map exhaustively; the one check on a caller's maps.
+
+    ``coloring_quiver`` relies on it: f o c is a coloring for every
+    coloring c only when f is an endomorphism, and only then is the
+    projection lookup of f o c sure to find it.
+    """
     for f in endos:
         if not is_homomorphism(f, X, X):
             raise InvalidParameterError(f"{f!r} is not an endomorphism of {X!r}")
     return tuple(endos)
 
 
+def _determining_arcs(vertices: Sequence[Coloring]) -> list[int]:
+    """Arcs, taken greedily in index order, whose values tell the
+    colorings apart.  An arc is kept only when it splits more colorings
+    apart, until the projection onto the kept arcs is injective; the
+    count of distinct projections verifies that.
+    """
+    arcs: list[int] = []
+    keys = [()] * len(vertices)
+    distinct = min(len(vertices), 1)
+    for arc in range(len(vertices[0].values) if vertices else 0):
+        if distinct == len(vertices):
+            break
+        refined = [k + (c.values[arc],) for k, c in zip(keys, vertices)]
+        if len(set(refined)) > distinct:
+            arcs.append(arc)
+            keys, distinct = refined, len(set(refined))
+    if distinct != len(vertices):
+        raise AssertionError("the colorings are not distinct")
+    return arcs
+
+
 def coloring_quiver(
     d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap]
 ) -> WeightedQuiver:
-    """The coloring quiver of D over X with edge set S = endos."""
+    """The coloring quiver of D over X with edge set S = endos.
+
+    The target f o c of each edge is found by its values on a few
+    determining arcs, on which the colorings project injectively: the
+    values on those arcs are read as one integer in radix |X|, and for
+    each f the codes of all targets are computed arc by arc through
+    ``f.image`` and looked up.  Since ``_check_endos`` has made sure
+    f o c is a coloring, its code names it.  Edges are listed by
+    vertex, then by endomorphism.
+    """
     S = _check_endos(X, endos)
     vertices = tuple(enumerate_colorings(d, X))
-    index = {c.values: i for i, c in enumerate(vertices)}
-    edges = []
-    for vi, c in enumerate(vertices):
-        for fi, f in enumerate(S):
-            target = apply_endo(f, c)
-            edges.append((vi, index[target.values], fi))
+    columns = [[c.values[arc] for c in vertices] for arc in _determining_arcs(vertices)]
+
+    def codes(image: Sequence[int]) -> list[int]:
+        """The code of f o c for every vertex c, where f has this image."""
+        out = [0] * len(vertices)
+        for k, col in enumerate(columns):
+            w = X.order**k
+            scaled = [y * w for y in image]
+            out = list(map(add, out, map(scaled.__getitem__, col)))
+        return out
+
+    index = {code: vi for vi, code in enumerate(codes(range(X.order)))}
+    targets = [list(map(index.__getitem__, codes(f.image))) for f in S]
+    edges: list[tuple[int, int, int]] = []
+    endo_ids = range(len(S))
+    for vi, row in enumerate(zip(*targets)):
+        edges.extend(zip(repeat(vi), row, endo_ids))
     return WeightedQuiver(vertices, tuple(edges), S)
 
 
@@ -346,8 +395,10 @@ def to_dot(q: WeightedQuiver, collapse_parallel: bool = False) -> str:
             attr = f' [label="{label}"]' if label else ""
             lines.append(f"  v{src} -> v{dst}{attr};")
     else:
-        for src, dst, endo in q.edges:
-            lines.append(f'  v{src} -> v{dst} [label="f{endo}"];')
+        heads = [f"  v{i}" for i in range(q.n_vertices)]
+        tails = [f" -> v{i}" for i in range(q.n_vertices)]
+        labels = {e: f' [label="f{e}"];' for e in set(map(itemgetter(2), q.edges))}
+        lines.extend(heads[src] + tails[dst] + labels[endo] for src, dst, endo in q.edges)
     lines.append("}")
     return "\n".join(lines)
 
@@ -361,6 +412,7 @@ def quiver_to_json(q: WeightedQuiver) -> dict:
         vertices.append(entry)
     return {
         "vertices": vertices,
-        "edges": [list(e) for e in q.edges],
-        "endos": [list(f.image) for f in q.endos],
+        # json writes tuples as lists, so the tuples need no copying.
+        "edges": q.edges,
+        "endos": [f.image for f in q.endos],
     }

@@ -241,3 +241,98 @@ def test_table_text_roundtrip():
         parse_table_text("")
     with pytest.raises(InvalidParameterError):
         parse_table_text("2\n0 0\n1")
+
+
+def tetrahedral():
+    """The Alexander quandle on GF(4) with t = w, x*y = w*x + w^2*y, a
+    quandle that is neither dihedral nor an Alexander quandle on Z_n."""
+    # GF(4) = {0, 1, w, w^2} as 0..3, with addition XOR on bits (w = 2).
+    logs, exps = {1: 0, 2: 1, 3: 2}, [1, 2, 3]
+
+    def mul(a, b):
+        return 0 if a == 0 or b == 0 else exps[(logs[a] + logs[b]) % 3]
+
+    return from_table([[mul(2, x) ^ mul(3, y) for y in range(4)] for x in range(4)])
+
+
+def prefix_pruned_homs(Xop, Yop):
+    """Oracle for orders where |Y|^|X| is too many maps to try one by one:
+    extend image vectors element by element, dropping a prefix as soon as
+    a relation among its elements fails."""
+    n, m = len(Xop), len(Yop)
+    found = []
+
+    def extend(img):
+        k = len(img)
+        for x in range(k):
+            for y in range(k):
+                t = Xop[x][y]
+                if t < k and img[t] != Yop[img[x]][img[y]]:
+                    return
+        if k == n:
+            found.append(tuple(img))
+            return
+        for v in range(m):
+            extend(img + [v])
+
+    extend([])
+    return found
+
+
+HOM_ORACLE_CASES = [
+    ("R3-R9", make_dihedral(3), make_dihedral(9)),
+    ("R4-R3", make_dihedral(4), make_dihedral(3)),
+    ("R4-R2", make_dihedral(4), make_dihedral(2)),
+    ("R3-R6", make_dihedral(3), make_dihedral(6)),
+    ("R5-plain", from_table(make_dihedral(5).op), from_table(make_dihedral(5).op)),
+    ("A5_2-A5_2", make_alexander(5, 2), make_alexander(5, 2)),
+    ("A5_3-R5", make_alexander(5, 3), make_dihedral(5)),
+    ("A4_3-A4_3", make_alexander(4, 3), make_alexander(4, 3)),
+    ("T3-R5", from_table([[x] * 3 for x in range(3)]), make_dihedral(5)),
+    ("R5-T3", make_dihedral(5), from_table([[x] * 3 for x in range(3)])),
+    ("Tet-Tet", tetrahedral(), tetrahedral()),
+    ("R5-Tet", make_dihedral(5), tetrahedral()),
+    ("Tet-R3", tetrahedral(), make_dihedral(3)),
+    ("R1-R4", make_dihedral(1), make_dihedral(4)),
+]
+
+
+@pytest.mark.parametrize("X,Y", [c[1:] for c in HOM_ORACLE_CASES],
+                         ids=[c[0] for c in HOM_ORACLE_CASES])
+def test_closure_search_matches_brute_force(X, Y):
+    homs = enumerate_homs(X, Y)
+    assert [f.image for f in homs] == brute_force_homs(X.op, Y.op)
+    assert all(is_homomorphism(f, X, Y) for f in homs)
+
+
+@pytest.mark.parametrize("X,Y", [
+    (make_alexander(9, 2), make_dihedral(9)),
+    (make_alexander(9, 2), make_alexander(9, 2)),
+    (make_dihedral(9), make_alexander(9, 4)),
+    (from_table(make_dihedral(8).op), make_dihedral(8)),
+], ids=["A9_2-R9", "A9_2-A9_2", "R9-A9_4", "R8plain-R8"])
+def test_closure_search_matches_pruned_oracle(X, Y):
+    homs = enumerate_homs(X, Y)
+    assert [f.image for f in homs] == prefix_pruned_homs(X.op, Y.op)
+    assert all(is_homomorphism(f, X, Y) for f in homs)
+
+
+def test_alexander_27_2_endos_are_the_affine_maps():
+    # x -> a*x + b commutes with x*y = t*x + (1-t)*y for every a and b,
+    # and the search finds no other endomorphism.
+    A = make_alexander(27, 2)
+    homs = enumerate_homs(A, A)
+    assert len(homs) == 729
+    affine = {tuple((a * x + b) % 27 for x in range(27)) for a in range(27) for b in range(27)}
+    assert {f.image for f in homs} == affine
+
+
+def test_is_homomorphism_rejects_wrong_shapes():
+    R3 = make_dihedral(3)
+    assert is_homomorphism(identity_map(R3), R3, R3)
+    assert not is_homomorphism(QuandleMap(3, 3, (0, 1)), R3, R3)
+    assert not is_homomorphism(QuandleMap(3, 3, (0, 1, 2, 0)), R3, R3)
+    assert not is_homomorphism(identity_map(R3), R3, make_dihedral(5))
+    assert not is_homomorphism(QuandleMap(3, 3, (0, 0, 1)), R3, R3)
+    assert not is_homomorphism(QuandleMap(3, 3, (0, 1, 3)), R3, R3)
+    assert not is_homomorphism(QuandleMap(3, 3, (0, -2, -1)), R3, R3)

@@ -7,19 +7,23 @@ from itertools import combinations, permutations
 import pytest
 
 from quiverknot.catalog import load_catalog
+from quiverknot.cli import parse_endo_spec
 from quiverknot.cocycle import invariant_multiset, mochizuki
-from quiverknot.coloring import apply_endo
+from quiverknot.coloring import apply_endo, enumerate_colorings
 from quiverknot.diagram import unknot_diagram
 from quiverknot.quandle import (
     InvalidParameterError,
     QuandleMap,
     enumerate_autos,
     enumerate_homs,
+    from_table,
     identity_map,
+    make_alexander,
     make_dihedral,
 )
 from quiverknot.quiver import (
     WeightedQuiver,
+    _determining_arcs,
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
@@ -76,6 +80,58 @@ def test_edges_point_to_endo_images(catalog):
     q = coloring_quiver(d, R3, S)
     for src, dst, fi in q.edges:
         assert apply_endo(S[fi], q.vertices[src]) == q.vertices[dst]
+
+
+def naive_edges(d, X, S):
+    """Oracle: every edge target by applying the map and looking the
+    whole coloring up."""
+    vertices = enumerate_colorings(d, X)
+    index = {c.values: i for i, c in enumerate(vertices)}
+    return tuple(
+        (vi, index[apply_endo(f, c).values], fi)
+        for vi, c in enumerate(vertices)
+        for fi, f in enumerate(S)
+    )
+
+
+def endo_sets(X):
+    """End(X), Aut(X), an explicit list and the empty list."""
+    if X.is_dihedral:
+        explicit = parse_endo_spec("1,0;2,1;0,3;5,2;1,1", X)
+    else:
+        explicit = enumerate_homs(X, X)[1::3]
+    return {"all": enumerate_homs(X, X), "auto": enumerate_autos(X),
+            "explicit": explicit, "none": []}
+
+
+QUIVER_ORACLE_QUANDLES = {
+    "R3": make_dihedral(3),
+    "R5": make_dihedral(5),
+    "R9": make_dihedral(9),
+    "A9_2": make_alexander(9, 2),
+    "T_R6": from_table(make_dihedral(6).op),
+}
+
+
+@pytest.mark.parametrize("qname", list(QUIVER_ORACLE_QUANDLES))
+def test_edges_match_naive_construction(catalog, qname):
+    X = QUIVER_ORACLE_QUANDLES[qname]
+    for knot in catalog.names():
+        d = catalog.diagram(knot)
+        for label, S in endo_sets(X).items():
+            q = coloring_quiver(d, X, S)
+            assert q.edges == naive_edges(d, X, S), (knot, label)
+            assert q.endos == tuple(S)
+
+
+def test_determining_arcs_project_injectively(catalog):
+    for X in QUIVER_ORACLE_QUANDLES.values():
+        for knot in catalog.names():
+            vertices = enumerate_colorings(catalog.diagram(knot), X)
+            arcs = _determining_arcs(vertices)
+            keys = {tuple(c.values[a] for a in arcs) for c in vertices}
+            assert len(keys) == len(vertices), (knot, X)
+            assert arcs == sorted(set(arcs))
 
 
 def test_rejects_non_endomorphism(catalog):
@@ -221,6 +277,16 @@ def test_dot_output(catalog):
     assert dot.count("->") == q.n_edges
     assert "(w=" in dot
     assert dot == to_dot(q)
+
+
+def test_dot_of_a_hand_built_multigraph():
+    # edge labels need not index the endomorphism list
+    q = WeightedQuiver((0, 1), ((0, 1, 0), (0, 1, 0), (1, 1, 7)), ())
+    assert to_dot(q) == "\n".join([
+        "digraph {", '  v0 [label="0"];', '  v1 [label="1"];',
+        '  v0 -> v1 [label="f0"];', '  v0 -> v1 [label="f0"];',
+        '  v1 -> v1 [label="f7"];', "}",
+    ])
 
 
 def test_quiver_json_schema(catalog):
