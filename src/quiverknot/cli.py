@@ -110,7 +110,7 @@ def parse_endo_spec(spec: str, X: FiniteQuandle) -> list[QuandleMap]:
         # Every affine map is an endomorphism of R_n, so there is nothing
         # to reject: f(x*y) = a(2y - x) + b = 2f(y) - f(x) = f(x)*f(y).
         image = tuple((a * x + b) % n for x in range(n))
-        endos.append(QuandleMap(n, n, image, affine_form=(a, b)))
+        endos.append(QuandleMap(n, n, image))
     return endos
 
 
@@ -189,8 +189,11 @@ def _dot_output(args, q) -> bool:
         return False
     dot = to_dot(q, collapse_parallel=args.collapse_parallel)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write DOT file {args.dot!r}: {exc}") from None
         return False
     print(dot)
     return True

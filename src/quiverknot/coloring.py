@@ -167,17 +167,14 @@ def apply_endo(f: QuandleMap, c: Coloring) -> Coloring:
     return Coloring(tuple(f.image[v] for v in c.values))
 
 
-def extend_shadow(
-    d: Diagram, X: FiniteQuandle, c: Coloring, base: int, traversal: str = "bfs"
-) -> ShadowColoring:
+def extend_shadow(d: Diagram, X: FiniteQuandle, c: Coloring, base: int) -> ShadowColoring:
     """The unique shadow coloring extending c with the unbounded region
     labeled ``base``.
 
-    Region values propagate across edges from the unbounded region using
-    ``c(left) = c(right) * c(arc)``; every relation is re-verified after
-    propagation, and any conflict raises ShadowConflictError.
-    ``traversal`` ("bfs" or "dfs") selects the spanning tree used for
-    propagation; the result must not depend on it.
+    Region values propagate breadth-first across edges from the
+    unbounded region using ``c(left) = c(right) * c(arc)``.  Every
+    relation is re-verified after propagation, so the result does not
+    depend on the spanning tree; any conflict raises ShadowConflictError.
     """
     if not 0 <= base < X.order:
         raise InvalidParameterError(f"base label {base} out of range")
@@ -194,8 +191,7 @@ def extend_shadow(
         by_region[right].append((left, right, arc))
 
     pending = [d.r_infinity]
-    while pending:
-        region = pending.pop(0 if traversal == "bfs" else -1)
+    for region in pending:  # appended to while walked: a FIFO queue
         val = region_vals[region]
         for left, right, arc in by_region[region]:
             x = c.values[arc]

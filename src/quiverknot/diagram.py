@@ -66,7 +66,7 @@ class Crossing:
     """One crossing of a built diagram.
 
     ``corner_regions[q]`` is the region id of corner q.  The *_arc
-    fields index into Diagram.arcs; the *_edge fields are PD labels.
+    fields index into Diagram.arcs.
     """
 
     pd: tuple[int, int, int, int]
@@ -74,10 +74,6 @@ class Crossing:
     under_in_arc: int
     over_arc: int
     under_out_arc: int
-    under_in_edge: int
-    under_out_edge: int
-    over_in_edge: int
-    over_out_edge: int
     corner_regions: tuple[int, int, int, int]
 
 
@@ -112,9 +108,6 @@ class Diagram:
     @property
     def writhe(self) -> int:
         return sum(cr.sign for cr in self.crossings)
-
-    def edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.arc_of_edge))
 
     def with_r_infinity(self, region: int) -> "Diagram":
         """The same diagram with a different face designated unbounded."""
@@ -275,27 +268,38 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
             ends += [(head, b, (i, 1)), (tail, d, (i, 3))]
         return ends
 
-    def orient(i: int) -> bool:
-        if i == c:
-            return True
-        for sign in options[i]:
-            placed = []
-            ok = True
-            for store, label, slot in placements(i, sign):
-                if label in store:
-                    ok = False
-                    break
-                store[label] = slot
-                placed.append((store, label))
-            if ok:
-                signs[i] = sign
-                if orient(i + 1):
-                    return True
-            for store, label in placed:
-                del store[label]
-        return False
+    def unplace(pairs) -> None:
+        for store, label in pairs:
+            del store[label]
 
-    if not orient(0):
+    # Depth-first over crossings without recursion, trying each
+    # crossing's signs in order: placed[i] holds what crossing i placed,
+    # tried[i] how many of its signs have been tried.
+    placed: list[list] = []
+    tried = [0] * c
+    i = 0
+    while 0 <= i < c:
+        if tried[i] == len(options[i]):
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                unplace(placed.pop())
+            continue
+        sign = options[i][tried[i]]
+        tried[i] += 1
+        done = []
+        for store, label, slot in placements(i, sign):
+            if label in store:
+                unplace(done)
+                break
+            store[label] = slot
+            done.append((store, label))
+        else:
+            signs[i] = sign
+            placed.append(done)
+            i += 1
+
+    if i < 0:
         raise StructuralError(
             "no consistent strand orientation exists for this PD code"
         )
@@ -398,7 +402,6 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
 
     crossings = []
     for i, (a, b, cc, d) in enumerate(quads):
-        over_in, over_out = (d, b) if signs[i] > 0 else (b, d)
         crossings.append(
             Crossing(
                 pd=(a, b, cc, d),
@@ -406,10 +409,6 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
                 under_in_arc=arc_of_edge[a],
                 over_arc=arc_of_edge[b],
                 under_out_arc=arc_of_edge[cc],
-                under_in_edge=a,
-                under_out_edge=cc,
-                over_in_edge=over_in,
-                over_out_edge=over_out,
                 corner_regions=tuple(face_of_corner[(i, q)] for q in range(4)),
             )
         )

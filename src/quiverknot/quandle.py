@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class InvalidParameterError(ValueError):
@@ -59,9 +59,6 @@ class FiniteQuandle:
     @property
     def is_dihedral(self) -> bool:
         return self.kind[0] == "dihedral"
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:
         return f"FiniteQuandle({'/'.join(map(str, self.kind))}, order={self.order})"
@@ -160,15 +157,13 @@ def table_text(q: FiniteQuandle) -> str:
 class QuandleMap:
     """A map between quandles, stored as its image vector.
 
-    ``affine_form`` is the pair (a, b) with image[x] == (a*x + b) mod n;
-    it is present exactly when both source and target are dihedral of
-    the same order, where every endomorphism has this shape.
+    The image is the whole map: two maps with the same orders and image
+    are equal however they were built.
     """
 
     source_order: int
     target_order: int
     image: tuple[int, ...]
-    affine_form: Optional[tuple[int, int]] = None
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -177,9 +172,6 @@ class QuandleMap:
         return len(set(self.image)) == self.source_order
 
     def __repr__(self) -> str:
-        if self.affine_form is not None:
-            a, b = self.affine_form
-            return f"QuandleMap(x -> {a}x+{b} mod {self.target_order})"
         return f"QuandleMap(image={self.image})"
 
 
@@ -204,29 +196,10 @@ def _image_is_hom(img: Sequence[int], Xop, Yop) -> bool:
     return True
 
 
-def _enumerate_dihedral_endos(n: int) -> list[QuandleMap]:
-    """Affine fast path for End(R_n): candidates f(x) = a*x + b.
+def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
+    """All quandle homomorphisms X -> Y, sorted by image vector.
 
-    Every candidate is still verified against the table; the affine
-    shape is a search-space reduction, not a trusted fact.
-    """
-    op = make_dihedral(n).op
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(n):
-            img = tuple((a * x + b) % n for x in range(n))
-            if img in found:
-                continue
-            if _image_is_hom(img, op, op):
-                found[img] = (a, b)
-    return [
-        QuandleMap(n, n, img, affine_form=found[img]) for img in sorted(found)
-    ]
-
-
-def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
-    """All homomorphisms X -> Y by branching with closure propagation.
-
+    One search serves every pair: it branches with closure propagation.
     Assigned elements are closed under ``*``: once x and y have images,
     x*y is forced to f(x)*f(y), or checked against the image it already
     has.  The trail lists the assigned elements in assignment order and
@@ -235,9 +208,14 @@ def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[Qua
     complete assignment each of the n^2 relations has been checked
     exactly once.  The search branches only on the lowest free element,
     runs on an explicit stack and undoes assignments from the trail.
+
+    For End(R_n) it branches on f(0) and f(1) only: f(k+1) = 2f(k) -
+    f(k-1) forces the rest, so the result is the n^2 affine maps
+    f(x) = a*x + b.
     """
     n, m = X.order, Y.order
     Xop, Yop = X.op, Y.op
+    Xcols, Ycols = tuple(zip(*Xop)), tuple(zip(*Yop))  # Xcols[x][y] == y*x
     img = [-1] * n
     trail: list[int] = []
     out: list[tuple[int, ...]] = []
@@ -249,9 +227,9 @@ def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[Qua
             fx = img[x]
             if Yop[fx][fx] != fx:
                 return False  # the relation x*x == x
-            row_x, frow_x = Xop[x], Yop[fx]
-            for j in range(done):
-                y = trail[j]
+            row_x, col_x = Xop[x], Xcols[x]
+            frow_x, fcol_x = Yop[fx], Ycols[fx]
+            for y in trail[:done]:
                 fy = img[y]
                 t, v = row_x[y], frow_x[fy]
                 if img[t] < 0:
@@ -259,7 +237,7 @@ def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[Qua
                     trail.append(t)
                 elif img[t] != v:
                     return False
-                t, v = Xop[y][x], Yop[fy][fx]
+                t, v = col_x[y], fcol_x[fy]
                 if img[t] < 0:
                     img[t] = v
                     trail.append(t)
@@ -295,33 +273,19 @@ def _enumerate_homs_backtracking(X: FiniteQuandle, Y: FiniteQuandle) -> list[Qua
     return [QuandleMap(n, m, image) for image in out]
 
 
-def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
-    """All quandle homomorphisms X -> Y, sorted by image vector.
-
-    When X and Y are dihedral of the same order the affine candidates
-    f(x) = a*x + b are generated and filtered; otherwise a backtracking
-    search over image vectors is used.
-    """
-    if X.is_dihedral and Y.is_dihedral and X.order == Y.order:
-        return _enumerate_dihedral_endos(X.order)
-    return _enumerate_homs_backtracking(X, Y)
-
-
 def enumerate_autos(X: FiniteQuandle) -> list[QuandleMap]:
     """All quandle automorphisms of X (bijective endomorphisms)."""
     return [f for f in enumerate_homs(X, X) if f.is_bijection()]
 
 
 def identity_map(X: FiniteQuandle) -> QuandleMap:
-    affine = (1 % X.order, 0) if X.is_dihedral else None
-    return QuandleMap(X.order, X.order, tuple(range(X.order)), affine_form=affine)
+    return QuandleMap(X.order, X.order, tuple(range(X.order)))
 
 
 def constant_map(X: FiniteQuandle, value: int) -> QuandleMap:
     if not 0 <= value < X.order:
         raise InvalidParameterError(f"constant {value} out of range")
-    affine = (0, value) if X.is_dihedral else None
-    return QuandleMap(X.order, X.order, (value,) * X.order, affine_form=affine)
+    return QuandleMap(X.order, X.order, (value,) * X.order)
 
 
 def compose(f: QuandleMap, g: QuandleMap) -> QuandleMap:
@@ -332,10 +296,4 @@ def compose(f: QuandleMap, g: QuandleMap) -> QuandleMap:
             f"f maps from order {f.source_order}"
         )
     image = tuple(f.image[g.image[x]] for x in range(g.source_order))
-    affine = None
-    if f.affine_form is not None and g.affine_form is not None:
-        n = f.target_order
-        a1, b1 = f.affine_form
-        a2, b2 = g.affine_form
-        affine = ((a1 * a2) % n, (a1 * b2 + b1) % n)
-    return QuandleMap(g.source_order, f.target_order, image, affine_form=affine)
+    return QuandleMap(g.source_order, f.target_order, image)

@@ -64,9 +64,6 @@ class Polynomial2:
     modulus: int
     coeffs: tuple[tuple[tuple[int, int], int], ...]
 
-    def coefficient(self, i: int, j: int) -> int:
-        return dict(self.coeffs).get((i, j), 0)
-
     def total(self) -> int:
         return sum(c for _, c in self.coeffs)
 
@@ -193,9 +190,6 @@ def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool)
     comparable across the two quivers.  Returns (colors1, colors2) or
     None when the color histograms separate the quivers."""
     n = q1.n_vertices
-    out1, in1 = _adjacency(q1)
-    out2, in2 = _adjacency(q2)
-
     if respect_weights:
         colors1 = list(q1.weights)
         colors2 = list(q2.weights)
@@ -204,6 +198,8 @@ def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool)
         colors2 = [0] * n
     if Counter(colors1) != Counter(colors2):
         return None
+    out1, in1 = _adjacency(q1)
+    out2, in2 = _adjacency(q2)
 
     for _ in range(n):
         palette: dict = {}
@@ -328,8 +324,6 @@ def quiver_isomorphic(
         if q1.weights is None or q2.weights is None:
             raise InvalidParameterError("both quivers need weights to compare them")
         if q1.weight_modulus != q2.weight_modulus:
-            return (False, None)
-        if Counter(q1.weights) != Counter(q2.weights):
             return (False, None)
     n = q1.n_vertices
     if n == 0:

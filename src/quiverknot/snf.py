@@ -75,15 +75,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
             A[t] = [x + y for x, y in zip(A[t], A[offender])]
         divisors.append(abs(A[t][t]))
 
+    # The chain d_t | d_{t+1} needs no repair.  Step t ends only once
+    # A[t][t] divides every entry of the remaining submatrix (the
+    # offender fold above).  Later steps only form integer combinations
+    # of those entries, so every later pivot, and the zeros left when
+    # the submatrix vanishes, are multiples of d_t.
     divisors += [0] * (size - len(divisors))
-    # Safety net: enforce d_i | d_{i+1} (gcd/lcm exchange is a valid
-    # transformation on diagonal SNF candidates).
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = math.gcd(a, b)
-            l = 0 if g == 0 else a // g * b
-            divisors[i], divisors[j] = g, l
     return divisors
 
 

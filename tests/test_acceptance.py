@@ -76,7 +76,7 @@ def test_criterion_1_coloring_counts():
 def test_criterion_2_reference_polynomials():
     R5 = dihedral(5)
     theta = mochizuki(5)
-    f = QuandleMap(5, 5, tuple((x + 2) % 5 for x in range(5)), affine_form=(1, 2))
+    f = QuandleMap(5, 5, tuple((x + 2) % 5 for x in range(5)))
     expected = {"4_1": "5 + 10st + 10s^4t^4", "5_1": "5 + 10s^2t^2 + 10s^3t^3"}
     for name, want in expected.items():
         q = shadow_cocycle_quiver(CATALOG.diagram(name), R5, [f], 0, theta)
@@ -302,8 +302,7 @@ def test_criterion_9_diagram_invariance():
         )
         assert iso, f"kinked trefoil weighted quiver differs over R_{p}"
 
-        shift = QuandleMap(p, p, tuple((x + p - 3) % p for x in range(p)),
-                           affine_form=(1, (p - 3) % p))
+        shift = QuandleMap(p, p, tuple((x + p - 3) % p for x in range(p)))
         polys = []
         for d in (d1, d2):
             q = shadow_cocycle_quiver(d, Rp, [shift], 0, theta)

@@ -153,6 +153,16 @@ def test_cli_quiver_dot(capsys, tmp_path):
     assert blob["outputs"]["vertices"] == 3
 
 
+def test_cli_unwritable_dot_file_is_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.dot")
+    for cmd in ("quiver", "shadow"):
+        code, out, err = run_cli(capsys, cmd, "--knot", "4_1", "--quandle",
+                                 "dihedral:5", "--dot", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write DOT file") and path in err
+
+
 def test_cli_shadow_reference_polynomials(capsys):
     blob = run_json(capsys, "shadow", "--knot", "4_1", "--quandle", "dihedral:5",
                     "--cocycle", "mochizuki", "--base", "0", "--endos", "1,2")

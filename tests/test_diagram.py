@@ -139,6 +139,24 @@ def test_kinks_build():
         assert d.n_arcs == 1
 
 
+def test_torus_knot_with_1001_crossings_builds():
+    # T(2,k): X(u, u+k, u+1, u+k+1) for even u, labels taken mod 2k into 1..2k
+    k = 1001
+
+    def label(v):
+        return (v - 1) % (2 * k) + 1
+
+    text = " ".join(
+        f"X({label(u)},{label(u + k)},{label(u + 1)},{label(u + k + 1)})"
+        for u in range(2, 2 * k + 1, 2)
+    )
+    d = build_diagram(parse_pd(text))
+    assert d.n_crossings == 1001
+    assert d.n_arcs == 1001
+    assert d.n_regions == 1003
+    assert len({cr.sign for cr in d.crossings}) == 1
+
+
 def test_emit_roundtrip(catalog):
     for name in catalog.names():
         d = catalog.diagram(name)

@@ -141,7 +141,7 @@ def test_hom_r2_r3_constants_only():
 
 
 def test_affine_path_matches_backtracking():
-    # strip the dihedral tag so the generic backtracking path runs
+    # the dihedral tag must not change the result
     for n in range(2, 8):
         Rn = make_dihedral(n)
         plain = from_table(Rn.op)
@@ -156,18 +156,20 @@ def test_affine_candidates_cross_validated_8_to_12():
         homs = enumerate_homs(Rn, Rn)
         assert len(homs) == n * n
         for f in homs:
-            assert f.affine_form is not None
+            a, b = (f.image[1] - f.image[0]) % n, f.image[0]
+            assert f.image == tuple((a * x + b) % n for x in range(n))
+            assert f.is_bijection() == (math.gcd(a, n) == 1)
             assert is_homomorphism(f, Rn, Rn)
 
 
 def test_affine_form_unique_for_all_endos():
-    for n in range(2, 13):
+    # End(R_n) is exactly the n^2 affine maps x -> a*x + b, one per (a, b)
+    for n in [*range(1, 25), 27]:
         Rn = make_dihedral(n)
-        for f in enumerate_homs(Rn, Rn):
-            a = (f.image[1] - f.image[0]) % n
-            b = f.image[0]
-            assert f.image == tuple((a * x + b) % n for x in range(n))
-            assert f.affine_form == (a, b)
+        affine = sorted({tuple((a * x + b) % n for x in range(n))
+                         for a in range(n) for b in range(n)})
+        assert len(affine) == n * n
+        assert [f.image for f in enumerate_homs(Rn, Rn)] == affine
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -179,7 +181,9 @@ def test_prime_endos_are_autos_plus_constants(p):
     constants = [f for f in homs if len(set(f.image)) == 1]
     assert len(autos) + len(constants) == len(homs)
     assert len(constants) == p
-    assert all(f.affine_form[0] != 0 for f in autos)
+    for f in homs:
+        a = (f.image[1] - f.image[0]) % p
+        assert f.is_bijection() == (math.gcd(a, p) == 1)
 
 
 def test_auto_counts():
@@ -197,11 +201,10 @@ def test_enumeration_order_is_lexicographic():
 
 def test_compose():
     R5 = make_dihedral(5)
-    f = QuandleMap(5, 5, tuple((2 * x + 1) % 5 for x in range(5)), affine_form=(2, 1))
-    g = QuandleMap(5, 5, tuple((3 * x) % 5 for x in range(5)), affine_form=(3, 0))
+    f = QuandleMap(5, 5, tuple((2 * x + 1) % 5 for x in range(5)))
+    g = QuandleMap(5, 5, tuple((3 * x) % 5 for x in range(5)))
     fg = compose(f, g)
     assert fg.image == tuple((x + 1) % 5 for x in range(5))
-    assert fg.affine_form == (1, 1)
     ident = identity_map(R5)
     assert compose(ident, g).image == g.image
     assert compose(g, ident).image == g.image
@@ -209,6 +212,15 @@ def test_compose():
     assert compose(const, f).image == const.image
     with pytest.raises(InvalidParameterError):
         compose(QuandleMap(3, 3, (0, 1, 2)), QuandleMap(5, 5, (0,) * 5))
+
+
+def test_maps_with_equal_images_are_equal_wherever_built():
+    R5 = make_dihedral(5)
+    end = enumerate_homs(R5, R5)
+    assert QuandleMap(5, 5, tuple(range(5))) == identity_map(R5)
+    assert QuandleMap(5, 5, (2,) * 5) == constant_map(R5, 2)
+    assert QuandleMap(5, 5, tuple((2 * x + 1) % 5 for x in range(5))) in end
+    assert enumerate_homs(from_table(R5.op), from_table(R5.op)) == end
 
 
 def test_compose_associative_and_identity_neutral_over_end_r5():

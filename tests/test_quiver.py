@@ -40,7 +40,7 @@ def catalog():
 
 
 def plus2(n=5):
-    return QuandleMap(n, n, tuple((x + 2) % n for x in range(n)), affine_form=(1, 2))
+    return QuandleMap(n, n, tuple((x + 2) % n for x in range(n)))
 
 
 def test_unknot_quiver():
