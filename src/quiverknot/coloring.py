@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import Diagram
-from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap
+from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack
 from .snf import smith_normal_form, solution_count_mod
 
 
@@ -84,61 +84,41 @@ def is_valid_coloring(d: Diagram, X: FiniteQuandle, values) -> bool:
 def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     """All X-colorings, sorted by value vector.
 
-    Depth-first assignment over arcs in index order; a crossing with its
-    under-in and over arcs known forces the under-out arc via ``op``, and
-    with under-out and over known forces under-in via ``inv_op``.
+    ``_backtrack`` over arcs; a crossing with its under-in and over arcs
+    known forces the under-out arc via ``op``, and with under-out and
+    over known forces under-in via ``inv_op``.  The trail is the queue:
+    each newly assigned arc visits the crossings it touches.
     """
-    m = d.n_arcs
     rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
-    touching: list[list[int]] = [[] for _ in range(m)]
-    for idx, rel in enumerate(rels):
+    touching: list[list[tuple[int, int, int]]] = [[] for _ in range(d.n_arcs)]
+    for rel in rels:
         for arc in set(rel):
-            touching[arc].append(idx)
+            touching[arc].append(rel)
+    op, inv_op = X.op, X.inv_op
 
-    values = [-1] * m
-    out: list[tuple[int, ...]] = []
-
-    def assign(arc: int, val: int, trail: list[int], queue: list[int]) -> bool:
-        if values[arc] >= 0:
-            return values[arc] == val
-        values[arc] = val
-        trail.append(arc)
-        queue.extend(touching[arc])
+    def propagate(values: list[int], trail: list[int], done: int) -> bool:
+        while done < len(trail):
+            for i, j, k in touching[trail[done]]:
+                vj = values[j]
+                if vj < 0:
+                    # under_in and under_out alone force nothing through
+                    # the tables; checked once the over arc is set.
+                    continue
+                if values[i] >= 0:
+                    t, v = k, op[values[i]][vj]
+                elif values[k] >= 0:
+                    t, v = i, inv_op[values[k]][vj]
+                else:
+                    continue
+                if values[t] < 0:
+                    values[t] = v
+                    trail.append(t)
+                elif values[t] != v:
+                    return False
+            done += 1
         return True
 
-    def propagate(queue: list[int], trail: list[int]) -> bool:
-        while queue:
-            i, j, k = rels[queue.pop()]
-            vi, vj, vk = values[i], values[j], values[k]
-            if vi >= 0 and vj >= 0:
-                if not assign(k, X.op[vi][vj], trail, queue):
-                    return False
-            elif vk >= 0 and vj >= 0:
-                if not assign(i, X.inv_op[vk][vj], trail, queue):
-                    return False
-            # under_in and under_out known but over unknown: nothing is
-            # forced through the tables; checked once the over arc is set.
-        return True
-
-    def dfs(start: int) -> None:
-        arc = start
-        while arc < m and values[arc] >= 0:
-            arc += 1
-        if arc == m:
-            out.append(tuple(values))
-            return
-        for v in range(X.order):
-            trail: list[int] = []
-            queue: list[int] = []
-            assign(arc, v, trail, queue)
-            if propagate(queue, trail):
-                dfs(arc + 1)
-            for a in trail:
-                values[a] = -1
-
-    dfs(0)
-    out.sort()
-    return [Coloring(v) for v in out]
+    return [Coloring(v) for v in _backtrack(d.n_arcs, X.order, propagate)]
 
 
 def coloring_matrix(d: Diagram) -> ColoringMatrix:

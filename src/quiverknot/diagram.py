@@ -137,7 +137,7 @@ def parse_pd(text: str) -> PDCode:
             if (
                 not isinstance(item, list)
                 or len(item) != 4
-                or not all(isinstance(v, int) for v in item)
+                or not all(type(v) is int for v in item)  # JSON true is an int too
             ):
                 raise ParseError(f"crossing {i} is not a quadruple of integers")
             quads.append(tuple(item))
@@ -150,6 +150,15 @@ def parse_pd(text: str) -> PDCode:
             raise ParseError(f"bad crossing term {term!r}", position=match.start())
         quads.append(tuple(int(g) for g in m.groups()))
     return pd_from_quadruples(quads)
+
+
+def _find(parent, x: int) -> int:
+    """Union-find root of x with path halving; ``parent`` is a list or a
+    dict mapping each element to its parent."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def pd_from_quadruples(quads: Sequence[tuple[int, int, int, int]]) -> PDCode:
@@ -171,22 +180,12 @@ def pd_from_quadruples(quads: Sequence[tuple[int, int, int, int]]) -> PDCode:
         )
 
     parent = {l: l for l in counts}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
     for a, b, c, d in quads:
-        union(a, c)
-        union(b, d)
+        parent[_find(parent, a)] = _find(parent, c)
+        parent[_find(parent, b)] = _find(parent, d)
     groups: dict[int, list[int]] = {}
     for label in counts:
-        groups.setdefault(find(label), []).append(label)
+        groups.setdefault(_find(parent, label), []).append(label)
     components = []
     for labels in groups.values():
         labels.sort()
@@ -317,17 +316,10 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
     # Connectivity of the underlying 4-valent graph, checked before the
     # Euler count so split links get the specific error.
     cparent = list(range(c))
-
-    def cfind(x: int) -> int:
-        while cparent[x] != x:
-            cparent[x] = cparent[cparent[x]]
-            x = cparent[x]
-        return x
-
     for pair in slots.values():
         (i1, _), (i2, _) = pair
-        cparent[cfind(i1)] = cfind(i2)
-    if len({cfind(i) for i in range(c)}) != 1:
+        cparent[_find(cparent, i1)] = _find(cparent, i2)
+    if len({_find(cparent, i) for i in range(c)}) != 1:
         raise UnsupportedDiagramError("disconnected (split) diagrams are not supported")
 
     # Faces: orbits of dart -> rotate(mate(dart)); the orbit through dart
@@ -385,18 +377,11 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
 
     # Arcs: merge the over edges at every crossing.
     aparent = {l: l for l in slots}
-
-    def afind(x: int) -> int:
-        while aparent[x] != x:
-            aparent[x] = aparent[aparent[x]]
-            x = aparent[x]
-        return x
-
     for a, b, cc, d in quads:
-        aparent[afind(b)] = afind(d)
+        aparent[_find(aparent, b)] = _find(aparent, d)
     arc_groups: dict[int, list[int]] = {}
     for label in slots:
-        arc_groups.setdefault(afind(label), []).append(label)
+        arc_groups.setdefault(_find(aparent, label), []).append(label)
     arcs = tuple(sorted(tuple(sorted(g)) for g in arc_groups.values()))
     arc_of_edge = {label: i for i, arc in enumerate(arcs) for label in arc}
 

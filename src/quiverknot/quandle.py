@@ -196,18 +196,64 @@ def _image_is_hom(img: Sequence[int], Xop, Yop) -> bool:
     return True
 
 
+def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
+    """Every complete assignment of values 0..n_values-1 to variables
+    0..n_vars-1 (n_vars >= 1) that ``propagate`` accepts, in ascending
+    lexicographic order.
+
+    ``propagate(img, trail, done)`` closes a partial assignment: ``img``
+    holds each variable's value or -1, ``trail`` lists the assigned
+    variables in assignment order, and the variables from ``trail[done]``
+    on are new since the last closure.  It appends each value it forces
+    to both, and returns False on a clash.  The search branches on the
+    lowest unassigned variable, runs on an explicit stack and undoes
+    assignments from the trail.
+
+    The output needs no sort.  Two leaves first differ at some branch
+    variable x, where the earlier leaf took the smaller value.  When x is
+    branched it is the lowest unassigned variable, so every variable
+    below x is assigned and equal in both leaves.  Values are tried in
+    ascending order, so the leaves come out in lexicographic order.
+    """
+    img = [-1] * n_vars
+    trail: list[int] = []
+    out: list[tuple[int, ...]] = []
+    # A frame is [branch variable, next value to try, trail length before it].
+    stack = [[0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        x, v, mark = frame
+        for t in trail[mark:]:
+            img[t] = -1
+        del trail[mark:]
+        if v == n_values:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        img[x] = v
+        trail.append(x)
+        if not propagate(img, trail, mark):
+            continue
+        nxt = x + 1
+        while nxt < n_vars and img[nxt] >= 0:
+            nxt += 1
+        if nxt == n_vars:
+            out.append(tuple(img))
+        else:
+            stack.append([nxt, 0, len(trail)])
+    return out
+
+
 def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
     """All quandle homomorphisms X -> Y, sorted by image vector.
 
-    One search serves every pair: it branches with closure propagation.
-    Assigned elements are closed under ``*``: once x and y have images,
-    x*y is forced to f(x)*f(y), or checked against the image it already
-    has.  The trail lists the assigned elements in assignment order and
-    doubles as the propagation queue; an element is paired with every
-    element before it and with itself when its turn comes, so on a
-    complete assignment each of the n^2 relations has been checked
-    exactly once.  The search branches only on the lowest free element,
-    runs on an explicit stack and undoes assignments from the trail.
+    One search serves every pair: ``_backtrack`` with closure
+    propagation.  Assigned elements are closed under ``*``: once x and y
+    have images, x*y is forced to f(x)*f(y), or checked against the
+    image it already has.  The trail doubles as the propagation queue;
+    an element is paired with every element before it and with itself
+    when its turn comes, so on a complete assignment each of the n^2
+    relations has been checked exactly once.
 
     For End(R_n) it branches on f(0) and f(1) only: f(k+1) = 2f(k) -
     f(k-1) forces the rest, so the result is the n^2 affine maps
@@ -216,12 +262,8 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
     n, m = X.order, Y.order
     Xop, Yop = X.op, Y.op
     Xcols, Ycols = tuple(zip(*Xop)), tuple(zip(*Yop))  # Xcols[x][y] == y*x
-    img = [-1] * n
-    trail: list[int] = []
-    out: list[tuple[int, ...]] = []
 
-    def propagate(done: int) -> bool:
-        """Close the assignment from trail[done] on; False on a clash."""
+    def propagate(img: list[int], trail: list[int], done: int) -> bool:
         while done < len(trail):
             x = trail[done]
             fx = img[x]
@@ -246,31 +288,7 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
             done += 1
         return True
 
-    # A frame is [branch element, next value to try, trail length before it].
-    stack = [[0, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        x, v, mark = frame
-        for t in trail[mark:]:
-            img[t] = -1
-        del trail[mark:]
-        if v == m:
-            stack.pop()
-            continue
-        frame[1] = v + 1
-        img[x] = v
-        trail.append(x)
-        if not propagate(mark):
-            continue
-        nxt = x + 1
-        while nxt < n and img[nxt] >= 0:
-            nxt += 1
-        if nxt == n:
-            out.append(tuple(img))
-        else:
-            stack.append([nxt, 0, len(trail)])
-    out.sort()
-    return [QuandleMap(n, m, image) for image in out]
+    return [QuandleMap(n, m, image) for image in _backtrack(n, m, propagate)]
 
 
 def enumerate_autos(X: FiniteQuandle) -> list[QuandleMap]:

@@ -246,6 +246,16 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_bracket_pd_rejects_booleans(capsys):
+    # JSON true and false load as bools, and bool is a subclass of int.
+    for knot in ("[[true,2,2,true]]", "[[1,false,2,3],[3,0,1,2]]"):
+        code, out, err = run_cli(capsys, "colorings", "--knot", knot,
+                                 "--quandle", "dihedral:3", "--list")
+        assert code == 3
+        assert out == ""
+        assert "crossing 0 is not a quadruple of integers" in err
+
+
 def test_cli_bad_catalog_is_data_error(capsys, tmp_path, monkeypatch):
     path = tmp_path / "broken.json"
     path.write_text("{")

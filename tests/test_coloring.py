@@ -20,11 +20,13 @@ from quiverknot.diagram import build_diagram, parse_pd, unknot_diagram
 from quiverknot.quandle import (
     constant_map,
     enumerate_homs,
+    from_table,
     identity_map,
     make_alexander,
     make_dihedral,
 )
 from quiverknot.snf import smith_normal_form, solution_count_mod
+from test_quandle import Q3_ROWS, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -66,6 +68,21 @@ def test_enumeration_vs_brute_force_more(catalog):
         (build_diagram(parse_pd("X(1,2,2,1)")), make_dihedral(5)),
         (catalog.diagram("4_1"), make_alexander(5, 2)),
     ]
+    # Every catalog knot with at most 70,000 candidate colorings, over
+    # quandles with asymmetric, trivial and non-dihedral tables.  3_1_kinked
+    # and X(1,2,2,1) have crossings whose arcs coincide.
+    quandles = [
+        make_dihedral(3),
+        make_dihedral(4),
+        from_table(Q3_ROWS),
+        tetrahedral(),
+        from_table([[x] * 3 for x in range(3)]),
+        make_alexander(5, 2),
+    ]
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    diagrams.append(build_diagram(parse_pd("X(1,2,2,1)")))
+    assert "3_1_kinked" in catalog.names()
+    cases += [(d, X) for d in diagrams for X in quandles if X.order ** d.n_arcs <= 70_000]
     for d, X in cases:
         got = [c.values for c in enumerate_colorings(d, X)]
         assert got == sorted(brute_force_colorings(d, X))

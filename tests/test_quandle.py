@@ -291,6 +291,8 @@ def prefix_pruned_homs(Xop, Yop):
     return found
 
 
+Q3_ROWS = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
+
 HOM_ORACLE_CASES = [
     ("R3-R9", make_dihedral(3), make_dihedral(9)),
     ("R4-R3", make_dihedral(4), make_dihedral(3)),
@@ -306,6 +308,13 @@ HOM_ORACLE_CASES = [
     ("R5-Tet", make_dihedral(5), tetrahedral()),
     ("Tet-R3", tetrahedral(), make_dihedral(3)),
     ("R1-R4", make_dihedral(1), make_dihedral(4)),
+    # In Q3, 2 swaps 0 and 1 while 0 and 1 act trivially.  The search
+    # needs both orientations of each pair and must compare forced
+    # images: End(Q3) has 7 maps, but 15 when only x*y with x after y
+    # in the trail is checked, and 27 when forced images are never
+    # compared.  T2 -> Q3 gives 5, 7 and 9 maps in the same three cases.
+    ("Q3-Q3", from_table(Q3_ROWS), from_table(Q3_ROWS)),
+    ("T2-Q3", from_table([[0, 0], [1, 1]]), from_table(Q3_ROWS)),
 ]
 
 
