@@ -214,6 +214,8 @@ def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
     branched it is the lowest unassigned variable, so every variable
     below x is assigned and equal in both leaves.  Values are tried in
     ascending order, so the leaves come out in lexicographic order.
+    That order is the driver's own variable order: a caller that numbers
+    its variables differently and maps the solutions back must sort them.
     """
     img = [-1] * n_vars
     trail: list[int] = []
@@ -251,9 +253,11 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
     propagation.  Assigned elements are closed under ``*``: once x and y
     have images, x*y is forced to f(x)*f(y), or checked against the
     image it already has.  The trail doubles as the propagation queue;
-    an element is paired with every element before it and with itself
-    when its turn comes, so on a complete assignment each of the n^2
-    relations has been checked exactly once.
+    an element is paired with every element before it when its turn
+    comes, so on a complete assignment each relation x*y with x != y has
+    been checked exactly once.  The diagonal relations x*x == x need no
+    check: they hold by Q1 in X and in Y, which every constructor here
+    enforces.
 
     For End(R_n) it branches on f(0) and f(1) only: f(k+1) = 2f(k) -
     f(k-1) forces the rest, so the result is the n^2 affine maps
@@ -267,8 +271,6 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
         while done < len(trail):
             x = trail[done]
             fx = img[x]
-            if Yop[fx][fx] != fx:
-                return False  # the relation x*x == x
             row_x, col_x = Xop[x], Xcols[x]
             frow_x, fcol_x = Yop[fx], Ycols[fx]
             for y in trail[:done]:

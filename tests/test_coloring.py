@@ -9,6 +9,7 @@ import pytest
 from quiverknot.catalog import load_catalog
 from quiverknot.coloring import (
     Coloring,
+    _branch_order,
     apply_endo,
     coloring_matrix,
     count_colorings_dihedral,
@@ -26,6 +27,7 @@ from quiverknot.quandle import (
     make_dihedral,
 )
 from quiverknot.snf import smith_normal_form, solution_count_mod
+from pd_generators import relabel_pd, torus_pd, trefoil_sum_pd
 from test_quandle import Q3_ROWS, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -86,6 +88,97 @@ def test_enumeration_vs_brute_force_more(catalog):
     for d, X in cases:
         got = [c.values for c in enumerate_colorings(d, X)]
         assert got == sorted(brute_force_colorings(d, X))
+
+
+def test_torus_knot_counts():
+    # det T(2,k) = k, so T(2,k) has n * gcd(k, n) colorings over R_n.
+    quandles = [make_dihedral(n) for n in range(3, 16, 2)]
+    for k in range(3, 202, 2):
+        d = build_diagram(parse_pd(torus_pd(k)))
+        for X in quandles:
+            assert len(enumerate_colorings(d, X)) == X.order * math.gcd(k, X.order), k
+
+
+def test_torus_knot_enumeration_matches_snf_count():
+    for k in range(3, 62, 2):
+        d = build_diagram(parse_pd(torus_pd(k)))
+        for n in range(3, 16):
+            assert len(enumerate_colorings(d, make_dihedral(n))) == count_colorings_dihedral(d, n)
+
+
+def test_large_torus_knots_enumerate():
+    R3 = make_dihedral(3)
+    for k in (101, 1001):
+        cols = enumerate_colorings(build_diagram(parse_pd(torus_pd(k))), R3)
+        assert [c.values for c in cols] == [(v,) * k for v in range(3)]
+
+
+def test_enumeration_independent_of_arc_labelling(catalog):
+    rng = random.Random(20201006)
+    quandles = [make_dihedral(n) for n in range(3, 14)]
+    for name in catalog.names():
+        d = catalog.diagram(name)
+        if not d.n_crossings:
+            continue
+        quads = parse_pd(catalog.entries[name].pd).crossings
+        expected = [[c.values for c in enumerate_colorings(d, X)] for X in quandles]
+        for _ in range(3):
+            text, moved = relabel_pd(quads, rng)
+            e = build_diagram(parse_pd(text))
+            # arc_perm[j] is the arc of e that carries arc j of d.
+            arc_perm = [e.arc_of_edge[moved(arc[0])] for arc in d.arcs]
+            for X, want in zip(quandles, expected):
+                got = sorted(tuple(c.values[a] for a in arc_perm)
+                             for c in enumerate_colorings(e, X))
+                assert got == want, (name, text, X.order)
+
+
+def naive_branch_order(rels, n_arcs):
+    """Each pick with the arcs it closes, every closure recomputed."""
+
+    def closure(arcs):
+        arcs = set(arcs)
+        grown = True
+        while grown:
+            grown = False
+            for i, j, k in rels:
+                if j in arcs and (i in arcs) != (k in arcs):
+                    arcs.add(k if i in arcs else i)
+                    grown = True
+        return arcs
+
+    known, picks = set(), []
+    while len(known) < n_arcs:
+        a = min((a for a in range(n_arcs) if a not in known),
+                key=lambda a: (-len(closure(known | {a})), a))
+        closed = closure(known | {a}) - known
+        picks.append((a, closed))
+        known |= closed
+    return picks
+
+
+def test_branch_order_matches_naive_recomputation(catalog):
+    rng = random.Random(6)
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    for name in catalog.names():
+        if catalog.diagram(name).n_crossings:
+            text, _ = relabel_pd(parse_pd(catalog.entries[name].pd).crossings, rng)
+            diagrams.append(build_diagram(parse_pd(text)))
+    diagrams += [build_diagram(parse_pd(torus_pd(k))) for k in (3, 5, 9, 21)]
+    diagrams += [build_diagram(parse_pd(trefoil_sum_pd(m))) for m in (1, 2, 6)]
+    diagrams.append(build_diagram(parse_pd("X(1,2,2,1)")))
+    for d in diagrams:
+        rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
+        touching = [[] for _ in range(d.n_arcs)]
+        for c, rel in enumerate(rels):
+            for arc in set(rel):
+                touching[arc].append(c)
+        order = _branch_order(rels, touching)
+        assert sorted(order) == list(range(d.n_arcs))
+        at = 0
+        for pick, closed in naive_branch_order(rels, d.n_arcs):
+            assert order[at] == pick and set(order[at:at + len(closed)]) == closed, d.pd
+            at += len(closed)
 
 
 def test_unknot_colorings():

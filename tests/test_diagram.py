@@ -13,6 +13,7 @@ from quiverknot.diagram import (
     parse_pd,
     unknot_diagram,
 )
+from pd_generators import torus_pd
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -140,17 +141,7 @@ def test_kinks_build():
 
 
 def test_torus_knot_with_1001_crossings_builds():
-    # T(2,k): X(u, u+k, u+1, u+k+1) for even u, labels taken mod 2k into 1..2k
-    k = 1001
-
-    def label(v):
-        return (v - 1) % (2 * k) + 1
-
-    text = " ".join(
-        f"X({label(u)},{label(u + k)},{label(u + 1)},{label(u + k + 1)})"
-        for u in range(2, 2 * k + 1, 2)
-    )
-    d = build_diagram(parse_pd(text))
+    d = build_diagram(parse_pd(torus_pd(1001)))
     assert d.n_crossings == 1001
     assert d.n_arcs == 1001
     assert d.n_regions == 1003
