@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter
+from itertools import chain, repeat
+from operator import add
 from typing import Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
@@ -33,16 +33,16 @@ from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, is_homomo
 
 @dataclass(frozen=True)
 class WeightedQuiver:
-    """Directed multigraph on colorings.
+    """Directed multigraph on colorings, stored as a target table.
 
-    ``edges`` holds (source vertex, target vertex, index into endos).
+    Vertex v has one out-edge per row e, to ``targets[e][v]``: the index of ``endos[e] o v``.
     ``weights`` is parallel to ``vertices`` when present, with values in
     Z_weight_modulus.  Vertex order is the coloring enumeration order,
     so construction is reproducible.
     """
 
     vertices: tuple[Coloring, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    targets: tuple[tuple[int, ...], ...]
     endos: tuple[QuandleMap, ...]
     weights: Optional[tuple[int, ...]] = None
     weight_modulus: Optional[int] = None
@@ -53,7 +53,15 @@ class WeightedQuiver:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.vertices) * len(self.targets)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(source, target, row) per edge, by vertex, then row; derived from ``targets``."""
+        edges: list[tuple[int, int, int]] = []
+        for vi, row in enumerate(zip(*self.targets)):
+            edges.extend(zip(repeat(vi), row, range(len(row))))
+        return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ def coloring_quiver(
     values on those arcs are read as one integer in radix |X|, and for
     each f the codes of all targets are computed arc by arc through
     ``f.image`` and looked up.  Since ``_check_endos`` has made sure
-    f o c is a coloring, its code names it.  Edges are listed by
-    vertex, then by endomorphism.
+    f o c is a coloring, its code names it.
     """
     S = _check_endos(X, endos)
     vertices = tuple(enumerate_colorings(d, X))
@@ -143,12 +150,8 @@ def coloring_quiver(
         return out
 
     index = {code: vi for vi, code in enumerate(codes(range(X.order)))}
-    targets = [list(map(index.__getitem__, codes(f.image))) for f in S]
-    edges: list[tuple[int, int, int]] = []
-    endo_ids = range(len(S))
-    for vi, row in enumerate(zip(*targets)):
-        edges.extend(zip(repeat(vi), row, endo_ids))
-    return WeightedQuiver(vertices, tuple(edges), S)
+    targets = tuple(tuple(map(index.__getitem__, codes(f.image))) for f in S)
+    return WeightedQuiver(vertices, targets, S)
 
 
 def shadow_cocycle_quiver(
@@ -173,15 +176,16 @@ def shadow_cocycle_quiver(
     weights = tuple(
         weight_sum(d, extend_shadow(d, X, c, base), theta) for c in q.vertices
     )
-    return WeightedQuiver(q.vertices, q.edges, q.endos, weights, theta.modulus)
+    return WeightedQuiver(q.vertices, q.targets, q.endos, weights, theta.modulus)
 
 
 def _adjacency(q: WeightedQuiver):
     out_adj = [Counter() for _ in range(q.n_vertices)]
     in_adj = [Counter() for _ in range(q.n_vertices)]
-    for src, dst, _ in q.edges:
-        out_adj[src][dst] += 1
-        in_adj[dst][src] += 1
+    for src, row in enumerate(zip(*q.targets)):
+        out_adj[src].update(row)
+        for dst in row:
+            in_adj[dst][src] += 1
     return out_adj, in_adj
 
 
@@ -346,24 +350,23 @@ def _verify_witness(
     q1: WeightedQuiver, q2: WeightedQuiver, mapping: tuple[int, ...], respect_weights: bool
 ) -> bool:
     n = q1.n_vertices
-    if sorted(mapping) != list(range(n)):
+    if (q2.n_vertices, q2.n_edges) != (n, q1.n_edges) or sorted(mapping) != list(range(n)):
         return False
-    if respect_weights:
-        for v in range(n):
-            if q1.weights[v] != q2.weights[mapping[v]]:
-                return False
-    edges1 = Counter((mapping[s], mapping[t]) for s, t, _ in q1.edges)
-    edges2 = Counter((s, t) for s, t, _ in q2.edges)
-    return edges1 == edges2
+    out1, out2 = list(zip(*q1.targets)), list(zip(*q2.targets))
+    for v, w in enumerate(mapping):
+        if respect_weights and q1.weights[v] != q2.weights[w]:
+            return False
+        if out1 and sorted(map(mapping.__getitem__, out1[v])) != sorted(out2[w]):
+            return False
+    return True
 
 
 def cocycle_polynomial(q: WeightedQuiver) -> Polynomial2:
     """Sum of s^weight(source) t^weight(target) over the quiver's edges."""
     if q.weights is None:
         raise InvalidParameterError("quiver has no vertex weights")
-    counts: Counter = Counter()
-    for src, dst, _ in q.edges:
-        counts[(q.weights[src], q.weights[dst])] += 1
+    pairs = (zip(q.weights, map(q.weights.__getitem__, row)) for row in q.targets)
+    counts = Counter(chain.from_iterable(pairs))
     return Polynomial2(q.weight_modulus, tuple(sorted(counts.items())))
 
 
@@ -382,17 +385,15 @@ def to_dot(q: WeightedQuiver, collapse_parallel: bool = False) -> str:
             lines.append(f'  v{i} [label="{i} (w={q.weights[i]})"];')
         else:
             lines.append(f'  v{i} [label="{i}"];')
-    if collapse_parallel:
-        mult: Counter = Counter((src, dst) for src, dst, _ in q.edges)
-        for (src, dst), count in sorted(mult.items()):
-            label = f"x{count}" if count > 1 else ""
-            attr = f' [label="{label}"]' if label else ""
-            lines.append(f"  v{src} -> v{dst}{attr};")
-    else:
-        heads = [f"  v{i}" for i in range(q.n_vertices)]
-        tails = [f" -> v{i}" for i in range(q.n_vertices)]
-        labels = {e: f' [label="f{e}"];' for e in set(map(itemgetter(2), q.edges))}
-        lines.extend(heads[src] + tails[dst] + labels[endo] for src, dst, endo in q.edges)
+    tails = [f" -> v{i}" for i in range(q.n_vertices)]
+    labels = [f' [label="f{e}"];' for e in range(len(q.targets))]
+    for src, row in enumerate(zip(*q.targets)):
+        if collapse_parallel:
+            for dst, count in sorted(Counter(row).items()):
+                attr = f' [label="x{count}"]' if count > 1 else ""
+                lines.append(f"  v{src} -> v{dst}{attr};")
+        else:
+            lines.extend(f"  v{src}{tails[dst]}{label}" for dst, label in zip(row, labels))
     lines.append("}")
     return "\n".join(lines)
 
@@ -406,7 +407,6 @@ def quiver_to_json(q: WeightedQuiver) -> dict:
         vertices.append(entry)
     return {
         "vertices": vertices,
-        # json writes tuples as lists, so the tuples need no copying.
         "edges": q.edges,
         "endos": [f.image for f in q.endos],
     }

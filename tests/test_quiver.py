@@ -1,6 +1,7 @@
 """Quiver construction, isomorphism, polynomials and DOT export."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -134,6 +135,21 @@ def test_determining_arcs_project_injectively(catalog):
             assert arcs == sorted(set(arcs))
 
 
+def test_quiver_holds_no_per_edge_objects(catalog):
+    # 8_18 over R_15 has 675 vertices and 151,875 edges; one tuple per edge
+    # held 11.1 MB, the target table holds about 1.5 MB
+    R15 = make_dihedral(15)
+    d, S = catalog.diagram("8_18"), enumerate_homs(R15, R15)
+    tracemalloc.start()
+    try:
+        q = coloring_quiver(d, R15, S)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.n_edges == 151875
+    assert held < 4_000_000, held
+
+
 def test_rejects_non_endomorphism(catalog):
     R5 = make_dihedral(5)
     not_hom = QuandleMap(5, 5, (0, 0, 1, 2, 3))
@@ -238,11 +254,12 @@ def test_polynomial_invariant_under_vertex_shuffle(catalog):
     rng = random.Random(7)
     perm = list(range(q.n_vertices))
     rng.shuffle(perm)
+    moved_from = [perm.index(i) for i in range(q.n_vertices)]
     shuffled = WeightedQuiver(
-        vertices=tuple(q.vertices[perm.index(i)] for i in range(q.n_vertices)),
-        edges=tuple((perm[s], perm[t], e) for s, t, e in q.edges),
+        vertices=tuple(q.vertices[v] for v in moved_from),
+        targets=tuple(tuple(perm[row[v]] for v in moved_from) for row in q.targets),
         endos=q.endos,
-        weights=tuple(q.weights[perm.index(i)] for i in range(q.n_vertices)),
+        weights=tuple(q.weights[v] for v in moved_from),
         weight_modulus=q.weight_modulus,
     )
     assert str(cocycle_polynomial(shuffled)) == str(cocycle_polynomial(q))
@@ -280,12 +297,16 @@ def test_dot_output(catalog):
 
 
 def test_dot_of_a_hand_built_multigraph():
-    # edge labels need not index the endomorphism list
-    q = WeightedQuiver((0, 1), ((0, 1, 0), (0, 1, 0), (1, 1, 7)), ())
+    # row 0 sends 0 -> 1 and 1 -> 1, row 1 sends 0 -> 1 and 1 -> 0
+    q = WeightedQuiver((0, 1), ((1, 1), (1, 0)), ())
     assert to_dot(q) == "\n".join([
         "digraph {", '  v0 [label="0"];', '  v1 [label="1"];',
-        '  v0 -> v1 [label="f0"];', '  v0 -> v1 [label="f0"];',
-        '  v1 -> v1 [label="f7"];', "}",
+        '  v0 -> v1 [label="f0"];', '  v0 -> v1 [label="f1"];',
+        '  v1 -> v1 [label="f0"];', '  v1 -> v0 [label="f1"];', "}",
+    ])
+    assert to_dot(q, collapse_parallel=True) == "\n".join([
+        "digraph {", '  v0 [label="0"];', '  v1 [label="1"];',
+        '  v0 -> v1 [label="x2"];', "  v1 -> v0;", "  v1 -> v1;", "}",
     ])
 
 
@@ -349,9 +370,10 @@ def test_weighted_verdict_tracks_multiset_equality(catalog):
 
 
 def test_long_rigid_path_needs_no_recursion():
-    # one search level per vertex: deeper than the default recursion limit
+    # one search level per vertex: deeper than the default recursion limit;
+    # i -> i + 1, and a loop on the last vertex
     n = 1100
-    path = WeightedQuiver(tuple(range(n)), tuple((i, i + 1, 0) for i in range(n - 1)), ())
+    path = WeightedQuiver(tuple(range(n)), (tuple(range(1, n)) + (n - 1,),), ())
     assert quiver_isomorphic(path, path) == (True, tuple(range(n)))
 
 
@@ -369,11 +391,10 @@ def brute_force_isomorphic(q1, q2, respect_weights):
     return False
 
 
-def random_quiver(rng, n, m, weighted):
-    edges = [(rng.randrange(n), rng.randrange(n), 0) for _ in range(m)]
-    edges += edges[:2]  # parallel edges, and parallel loops when s == t
+def random_quiver(rng, n, rows, weighted):
+    targets = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(rows))
     weights = tuple(rng.randrange(2) for _ in range(n)) if weighted else None
-    return WeightedQuiver(tuple(range(n)), tuple(edges), (), weights, 2 if weighted else None)
+    return WeightedQuiver(tuple(range(n)), targets, (), weights, 2 if weighted else None)
 
 
 def relabelled(q, perm, weights=None):
@@ -382,8 +403,14 @@ def relabelled(q, perm, weights=None):
         weights = [0] * q.n_vertices
         for v, w in enumerate(q.weights):
             weights[perm[v]] = w
+    targets = []
+    for row in q.targets:
+        moved = [0] * q.n_vertices
+        for v, t in enumerate(row):
+            moved[perm[v]] = perm[t]
+        targets.append(tuple(moved))
     return WeightedQuiver(
-        q.vertices, tuple((perm[s], perm[t], e) for s, t, e in q.edges), q.endos,
+        q.vertices, tuple(targets), q.endos,
         None if weights is None else tuple(weights), q.weight_modulus,
     )
 
@@ -394,16 +421,17 @@ def test_search_matches_brute_force_oracle():
     for trial in range(90):
         n = 1 + trial % 7
         weighted = trial % 2 == 1
-        m = rng.randint(0, 2 * n)
-        q1 = random_quiver(rng, n, m, weighted)
+        rows = rng.randint(0, 3)
+        q1 = random_quiver(rng, n, rows, weighted)
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = list(q1.edges)
+        moved = [list(row) for row in q1.targets]
         if moved:
-            s, t, e = moved[0]
-            moved[0] = (s, rng.randrange(n), e)
-        moved = WeightedQuiver(q1.vertices, tuple(moved), (), q1.weights, q1.weight_modulus)
-        pairs = [relabelled(q1, perm), relabelled(moved, perm), random_quiver(rng, n, m, weighted)]
+            moved[0][0] = rng.randrange(n)
+        moved = WeightedQuiver(q1.vertices, tuple(map(tuple, moved)), (), q1.weights,
+                               q1.weight_modulus)
+        pairs = [relabelled(q1, perm), relabelled(moved, perm),
+                 random_quiver(rng, n, rows, weighted)]
         if weighted:
             shuffled = list(q1.weights)
             rng.shuffle(shuffled)
@@ -420,6 +448,27 @@ def test_search_matches_brute_force_oracle():
         assert quiver_isomorphic(q1, pairs[0], respect_weights=weighted)[0]
     # both verdicts occur, with and without weights
     assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_verify_witness_rejects_bad_witnesses():
+    # edges 0 -> 1 twice, 1 -> 2, 1 -> 0 and 2 -> 2 twice
+    q = WeightedQuiver((0, 1, 2), ((1, 2, 2), (1, 0, 2)), (), (0, 1, 1), 2)
+    assert _verify_witness(q, q, (0, 1, 2), True)
+    # not a bijection of the vertices
+    for mapping in ((0, 0, 2), (0, 1), (0, 1, 2, 3), (0, 1, 3)):
+        assert not _verify_witness(q, q, mapping, False), mapping
+    # a bijection that keeps the weights but not the edge multiset
+    assert not _verify_witness(q, q, (0, 2, 1), True)
+    # one edge moved: 0 -> 1 once and 0 -> 2 once
+    moved = WeightedQuiver(q.vertices, ((1, 2, 2), (2, 0, 2)), (), q.weights, 2)
+    assert not _verify_witness(q, moved, (0, 1, 2), False)
+    # no edges at all on one side
+    bare = WeightedQuiver(q.vertices, (), (), q.weights, 2)
+    assert not _verify_witness(q, bare, (0, 1, 2), False)
+    # the same edges, weights swapped between vertices 0 and 1
+    swapped = WeightedQuiver(q.vertices, q.targets, (), (1, 0, 1), 2)
+    assert _verify_witness(q, swapped, (0, 1, 2), False)
+    assert not _verify_witness(q, swapped, (0, 1, 2), True)
 
 
 def test_verdicts_match_networkx(catalog):
