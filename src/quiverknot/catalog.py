@@ -3,8 +3,8 @@
 Entries carry a PD code plus recorded invariants used as a validation
 fingerprint: the knot determinant and the nontrivial elementary
 divisors of the coloring matrix (the first homology of the double
-branched cover).  Every entry, built-in or user-supplied, is parsed,
-built and checked against its fingerprint at load time; dihedral
+branched cover).  An entry is parsed, built and checked against its
+fingerprint on first use, and a user file's entries at load; dihedral
 coloring counts for any n follow from those divisors, so a corrupted PD
 code cannot silently feed the invariants.
 """
@@ -28,7 +28,7 @@ class CatalogError(ValueError):
 
 
 # PD codes generated from canonical braid-word, 4-plat and Montesinos
-# presentations of the named knots, fingerprint-checked at load time.
+# presentations of the named knots, fingerprint-checked on first use.
 # Chirality may differ from printed tables; nothing computed here
 # distinguishes mirrors.
 _DEFAULT_ENTRIES: dict = {
@@ -124,7 +124,7 @@ class CatalogEntry:
 
 
 class Catalog:
-    """A validated name -> diagram table with lazily built diagrams."""
+    """A name -> diagram table; each diagram is built and checked on first use."""
 
     def __init__(self, entries: dict[str, CatalogEntry]):
         self.entries = entries
@@ -145,10 +145,13 @@ class Catalog:
 
 
 def _build_entry(entry: CatalogEntry) -> Diagram:
-    if entry.pd == "unknot":
-        d = unknot_diagram()
-    else:
-        d = build_diagram(parse_pd(entry.pd), r_infinity_corner=entry.r_infinity)
+    try:
+        if entry.pd == "unknot":
+            d = unknot_diagram()
+        else:
+            d = build_diagram(parse_pd(entry.pd), r_infinity_corner=entry.r_infinity)
+    except ValueError as exc:
+        raise CatalogError(f"entry {entry.name!r} failed to build: {exc}") from None
     _check_fingerprint(entry, d)
     return d
 
@@ -181,7 +184,7 @@ def _entry_from_dict(name: str, raw: dict) -> CatalogEntry:
         if (
             not isinstance(r_inf, (list, tuple))
             or len(r_inf) != 2
-            or not all(isinstance(v, int) for v in r_inf)
+            or not all(type(v) is int for v in r_inf)  # JSON true is an int too
         ):
             raise CatalogError(
                 f"entry {name!r}: 'r_infinity' must be a [crossing, corner] pair"
@@ -195,9 +198,7 @@ def _entry_from_dict(name: str, raw: dict) -> CatalogEntry:
             "('determinant' and/or 'homology')"
         )
     if hom is not None:
-        if not isinstance(hom, (list, tuple)) or not all(
-            isinstance(v, int) for v in hom
-        ):
+        if not isinstance(hom, (list, tuple)) or not all(type(v) is int for v in hom):
             raise CatalogError(f"entry {name!r}: 'homology' must be a list of integers")
         hom = tuple(hom)
         implied = math.prod(hom) if hom else 1
@@ -209,7 +210,7 @@ def _entry_from_dict(name: str, raw: dict) -> CatalogEntry:
             )
     else:
         hom = (det,) if det != 1 else ()
-    if not isinstance(det, int) or det < 1:
+    if type(det) is not int or det < 1:
         raise CatalogError(f"entry {name!r}: bad determinant {det!r}")
     return CatalogEntry(
         name=name,
@@ -232,10 +233,10 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
 
     ``path`` defaults to the QUIVERKNOT_CATALOG environment variable.
     The user file is a JSON object mapping names to entry objects; user
-    entries override built-ins of the same name.  Every entry is built
-    and fingerprint-checked immediately; failures name the entry.
+    entries override built-ins of the same name.  User entries are built
+    and fingerprint-checked here, built-ins on first use; a failure names its entry.
     """
-    entries = default_entries()
+    catalog = Catalog(default_entries())
     if path is None:
         path = os.environ.get(ENV_CATALOG) or None
     if path is not None:
@@ -246,16 +247,12 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
             raise CatalogError(f"cannot read catalog file {path!r}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog file {path!r} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise CatalogError(f"catalog file {path!r} is nested too deeply") from None
         if not isinstance(data, dict):
             raise CatalogError(f"catalog file {path!r} must hold a JSON object")
         for name, raw in data.items():
-            entries[name] = _entry_from_dict(name, raw)
-    catalog = Catalog(entries)
-    for name in catalog.names():
-        try:
+            catalog.entries[name] = _entry_from_dict(name, raw)
+        for name in sorted(data):
             catalog.diagram(name)
-        except CatalogError:
-            raise
-        except ValueError as exc:
-            raise CatalogError(f"entry {name!r} failed to build: {exc}") from None
     return catalog

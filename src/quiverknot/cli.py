@@ -60,34 +60,35 @@ class UsageError(ValueError):
     """Bad parameter values (exit code 2)."""
 
 
+class QuandleDataError(ValueError):
+    """Table file content failed validation (exit code 3)."""
+
+
 def parse_quandle_spec(spec: str) -> FiniteQuandle:
+    kind, colon, path = spec.partition(":")
+    if kind == "table" and colon:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read quandle table {path!r}: {exc}") from None
+        except ValueError as exc:  # undecodable bytes, or a NUL in the path
+            raise UsageError(f"bad quandle spec {spec!r}: {exc}") from None
+        try:
+            return parse_table_text(text)
+        except ValueError as exc:
+            raise QuandleDataError(f"bad quandle table {path!r}: {exc}") from None
     parts = spec.split(":")
     try:
         if parts[0] == "dihedral" and len(parts) == 2:
             return make_dihedral(int(parts[1]))
         if parts[0] == "alexander" and len(parts) == 3:
             return make_alexander(int(parts[1]), int(parts[2]))
-        if parts[0] == "table" and len(parts) == 2:
-            try:
-                with open(parts[1], "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise UsageError(f"cannot read quandle table {parts[1]!r}: {exc}") from None
-            try:
-                return parse_table_text(text)
-            except (InvalidParameterError, ValueError) as exc:
-                raise QuandleDataError(f"bad quandle table {parts[1]!r}: {exc}") from None
     except ValueError as exc:
-        if isinstance(exc, (UsageError, QuandleDataError)):
-            raise
         raise UsageError(f"bad quandle spec {spec!r}: {exc}") from None
     raise UsageError(
         f"bad quandle spec {spec!r} (grammar: dihedral:n | alexander:n:t | table:PATH)"
     )
-
-
-class QuandleDataError(ValueError):
-    """Table file content failed validation (exit code 3)."""
 
 
 def parse_endo_spec(spec: str, X: FiniteQuandle) -> list[QuandleMap]:

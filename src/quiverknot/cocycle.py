@@ -25,9 +25,8 @@ from .diagram import Diagram
 from .quandle import FiniteQuandle, InvalidParameterError
 
 # Corner index of the source region (both orientations point away from
-# it) and of the sink region (both point toward it), by crossing sign.
+# it), by crossing sign.
 _SOURCE_CORNER = {1: 3, -1: 0}
-_SINK_CORNER = {1: 1, -1: 2}
 
 
 @dataclass(frozen=True)
@@ -124,20 +123,16 @@ def verify_cocycle(theta: Cocycle3, X: FiniteQuandle) -> Optional[tuple]:
     return None
 
 
-def weight_sum(
-    d: Diagram, s: ShadowColoring, theta: Cocycle3, region_convention: str = "source"
-) -> int:
+def weight_sum(d: Diagram, s: ShadowColoring, theta: Cocycle3) -> int:
     """The signed sum of crossing weights, reduced to 0..modulus-1.
 
-    Each crossing contributes sign * theta(region, under_in, over).  The
-    default "source" region convention is pinned by reproducing the
-    reference polynomials of the acceptance suite; "sink" exists only to
-    document what the opposite choice computes.
+    Each crossing contributes sign * theta(region, under_in, over), where
+    region is the source corner's.  That convention is pinned by
+    reproducing the reference polynomials of the acceptance suite.
     """
-    corner_of = {"source": _SOURCE_CORNER, "sink": _SINK_CORNER}[region_convention]
     total = 0
     for cr in d.crossings:
-        region = cr.corner_regions[corner_of[cr.sign]]
+        region = cr.corner_regions[_SOURCE_CORNER[cr.sign]]
         x = s.region_values[region]
         y = s.arc_values.values[cr.under_in_arc]
         z = s.arc_values.values[cr.over_arc]

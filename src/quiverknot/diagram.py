@@ -130,6 +130,8 @@ def parse_pd(text: str) -> PDCode:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad bracket form: {exc.msg}", position=exc.pos) from None
+        except RecursionError:
+            raise ParseError("bad bracket form: nested too deeply") from None
         if not isinstance(data, list) or not data:
             raise ParseError("bracket form must be a non-empty list of quadruples")
         quads = []

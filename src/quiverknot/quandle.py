@@ -64,8 +64,39 @@ class FiniteQuandle:
         return f"FiniteQuandle({'/'.join(map(str, self.kind))}, order={self.order})"
 
 
-def _checked_tables(rows: Sequence[Sequence[int]]):
-    """Validate Q1-Q3 for an operation table and build the inverse table."""
+def _alexander_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The table of x*y = t*x + (1-t)*y on Z_n."""
+    return tuple(tuple((t * x + (1 - t) * y) % n for y in range(n)) for x in range(n))
+
+
+def make_dihedral(n: int) -> FiniteQuandle:
+    """The dihedral quandle R_n: Z_n with x*y = 2y - x (so inv_op == op)."""
+    if n < 1:
+        raise InvalidParameterError(f"order must be >= 1, got {n}")
+    op = _alexander_table(n, -1)
+    return FiniteQuandle(n, op, op, kind=("dihedral", n))
+
+
+def make_alexander(n: int, t: int) -> FiniteQuandle:
+    """The Alexander quandle on Z_n with x*y = t*x + (1-t)*y.
+
+    Requires gcd(t, n) == 1, otherwise right translations are not
+    bijections and Q2 fails.  t = n-1 reproduces the dihedral table.
+    x*y == z exactly when x = t^-1*z + (1 - t^-1)*y, so the inverse table
+    is the Alexander table of t^-1.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"order must be >= 1, got {n}")
+    if math.gcd(t, n) != 1:
+        raise InvalidParameterError(f"t={t} is not a unit mod {n}")
+    t %= n
+    op = _alexander_table(n, t)
+    inv = _alexander_table(n, pow(t, -1, n))
+    return FiniteQuandle(n, op, inv, kind=("alexander", n, t))
+
+
+def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
+    """Build a quandle from an explicit table, validating all three axioms."""
     n = len(rows)
     if n == 0:
         raise InvalidParameterError("empty operation table")
@@ -94,38 +125,7 @@ def _checked_tables(rows: Sequence[Sequence[int]]):
             for z in range(n):
                 if op[xy][z] != op[op[x][z]][op[y][z]]:
                     raise QuandleAxiomError(("Q3", x, y, z))
-    return op, tuple(tuple(r) for r in inv)
-
-
-def make_dihedral(n: int) -> FiniteQuandle:
-    """The dihedral quandle R_n: Z_n with x*y = 2y - x."""
-    if n < 1:
-        raise InvalidParameterError(f"order must be >= 1, got {n}")
-    rows = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    op, inv = _checked_tables(rows)
-    return FiniteQuandle(n, op, inv, kind=("dihedral", n))
-
-
-def make_alexander(n: int, t: int) -> FiniteQuandle:
-    """The Alexander quandle on Z_n with x*y = t*x + (1-t)*y.
-
-    Requires gcd(t, n) == 1, otherwise right translations are not
-    bijections and Q2 fails.  t = n-1 reproduces the dihedral table.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"order must be >= 1, got {n}")
-    if math.gcd(t, n) != 1:
-        raise InvalidParameterError(f"t={t} is not a unit mod {n}")
-    t %= n
-    rows = [[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)]
-    op, inv = _checked_tables(rows)
-    return FiniteQuandle(n, op, inv, kind=("alexander", n, t))
-
-
-def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
-    """Build a quandle from an explicit table, validating all three axioms."""
-    op, inv = _checked_tables(rows)
-    return FiniteQuandle(len(op), op, inv, kind=("table",))
+    return FiniteQuandle(n, op, tuple(tuple(r) for r in inv), kind=("table",))
 
 
 def parse_table_text(text: str) -> FiniteQuandle:
@@ -256,8 +256,8 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
     an element is paired with every element before it when its turn
     comes, so on a complete assignment each relation x*y with x != y has
     been checked exactly once.  The diagonal relations x*x == x need no
-    check: they hold by Q1 in X and in Y, which every constructor here
-    enforces.
+    check: they hold by Q1 in X and in Y, by the formula for dihedral and
+    Alexander quandles and by ``from_table``'s check for tables.
 
     For End(R_n) it branches on f(0) and f(1) only: f(k+1) = 2f(k) -
     f(k-1) forces the rest, so the result is the n^2 affine maps

@@ -66,6 +66,18 @@ def test_catalog_errors_name_the_entry(tmp_path):
         load_catalog(str(path))
 
 
+def test_catalog_fingerprints_reject_booleans(tmp_path):
+    # JSON true loads as a bool, and bool is a subclass of int.
+    path = tmp_path / "bools.json"
+    for raw in ({"pd": "X(1,2,2,1)", "determinant": True},
+                {"pd": "X(1,2,2,1)", "homology": [True]},
+                {"pd": "X(1,2,2,1)", "determinant": 1, "r_infinity": [0, True]}):
+        path.write_text(json.dumps({"truthy": raw}))
+        with pytest.raises(CatalogError) as exc:
+            load_catalog(str(path))
+        assert "truthy" in str(exc.value)
+
+
 def test_catalog_env_var(tmp_path, monkeypatch, catalog):
     path = tmp_path / "env.json"
     path.write_text(json.dumps({"envknot": {"pd": catalog.entries["3_1"].pd,
@@ -114,6 +126,14 @@ def test_cli_colorings_table_quandle(capsys, tmp_path):
                     f"table:{path}")
     assert blob["outputs"]["count"] == 25
     assert blob["outputs"]["method"] == "enumeration"
+
+
+def test_cli_table_path_may_contain_colons(capsys, tmp_path):
+    path = tmp_path / "a:b.txt"
+    path.write_text(table_text(make_dihedral(5)))
+    blob = run_json(capsys, "colorings", "--knot", "4_1", "--quandle",
+                    f"table:{path}")
+    assert blob["outputs"]["count"] == 25
 
 
 def test_cli_quiver_summary(capsys):
@@ -270,3 +290,48 @@ def test_cli_text_format(capsys):
                            "dihedral:5", "--endos", "auto", "--format", "text")
     assert code == 0
     assert "isomorphic" in out
+
+
+def test_cli_deeply_nested_bracket_pd_is_data_error(capsys):
+    code, out, err = run_cli(capsys, "colorings", "--knot", "[" * 100000,
+                             "--quandle", "dihedral:3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: bad bracket form")
+
+
+def test_cli_deeply_nested_catalog_is_data_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    monkeypatch.setenv("QUIVERKNOT_CATALOG", str(path))
+    code, out, err = run_cli(capsys, "colorings", "--knot", "4_1",
+                             "--quandle", "dihedral:3")
+    assert code == 3
+    assert out == ""
+    assert str(path) in err
+
+
+def test_cli_builds_only_the_catalog_diagram_it_names(capsys, monkeypatch):
+    from quiverknot import catalog as catalog_module
+
+    built = []
+    real_build = catalog_module.build_diagram
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "build_diagram", counting_build)
+    monkeypatch.delenv("QUIVERKNOT_CATALOG", raising=False)
+    run_json(capsys, "colorings", "--knot", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+             "--quandle", "dihedral:3")
+    assert len(built) == 0
+    run_json(capsys, "colorings", "--knot", "4_1", "--quandle", "dihedral:3")
+    assert len(built) == 1
+
+
+def test_cli_counts_over_a_large_dihedral_quandle(capsys):
+    # R_1001 is built from its formula; no O(n^3) axiom check runs
+    blob = run_json(capsys, "colorings", "--knot", "4_1", "--quandle",
+                    "dihedral:1001", "--count")
+    assert blob["outputs"] == {"count": 1001, "method": "snf"}

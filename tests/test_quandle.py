@@ -77,15 +77,19 @@ def test_alexander_examples():
 
 def test_axioms_exhaustive_all_constructions():
     for n in range(1, 13):
-        assert axioms_hold(make_dihedral(n).op)
-        for t in range(1, n + 1):
-            if math.gcd(t, n) == 1:
-                assert axioms_hold(make_alexander(n, t).op)
+        qs = [make_dihedral(n)]
+        qs += [make_alexander(n, t) for t in range(1, n + 1) if math.gcd(t, n) == 1]
+        for q in qs:
+            assert axioms_hold(q.op)
+            # from_table checks the axioms and builds the inverse table by
+            # inverting each column, independently of the closed forms
+            checked = from_table(q.op)
+            assert (checked.op, checked.inv_op) == (q.op, q.inv_op)
 
 
 def test_axioms_hold_at_order_thirty():
-    # constructors validate internally at any order; check the upper
-    # bound of the exhaustive-check contract directly
+    # constructors build their tables from formulas and do not check
+    # them; check the upper bound of the exhaustive-check contract here
     assert axioms_hold(make_dihedral(30).op)
     assert axioms_hold(make_alexander(30, 7).op)
 
