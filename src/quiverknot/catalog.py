@@ -245,6 +245,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
                 data = json.load(fh)
         except OSError as exc:
             raise CatalogError(f"cannot read catalog file {path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"catalog file {path!r} is not valid UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog file {path!r} is not valid JSON: {exc}") from None
         except RecursionError:

@@ -11,7 +11,9 @@ human summary, ``--dot FILE`` to write DOT output to a file).  Exit
 codes: 0 success, 2 usage or parameter error, 3 data or validation
 error.  Identical invocations produce byte-identical JSON apart from the
 trailing timing field, which gives the seconds from just before catalog
-load to the output on a monotonic clock.
+load to just before that closing field is written, on a monotonic
+clock.  Quiver JSON and DOT are written one vertex at a time from the
+quiver's target table, so no whole edge list or output string is held.
 """
 
 from __future__ import annotations
@@ -123,13 +125,30 @@ def resolve_knot(name_or_pd: str, catalog: Catalog) -> Diagram:
     raise UsageError(f"unknown knot {name_or_pd!r} (not a catalog name or PD code)")
 
 
-def _emit(result: dict, fmt: str, text_lines: list[str], started: float) -> None:
-    result["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+def _emit(result: dict, fmt: str, text_lines: list[str], started: float,
+          quiver=None) -> None:
+    """Print the result as ``json.dumps`` would, with the timing field last.
+
+    With ``quiver``, JSON output gains ``outputs.quiver``, the value of
+    ``quiver_to_json(quiver)``, written piece by piece.  The timing is
+    taken once everything before it is written.
+    """
     if fmt == "text":
         for line in text_lines:
             print(line)
+        return
+    write = sys.stdout.write
+    # Drop the closing braces of the fields that get a last member:
+    # the result gets timing, and outputs gets quiver.
+    text = json.dumps(result)
+    if quiver is None:
+        write(text[:-1])
     else:
-        print(json.dumps(result))
+        write(text[:-2] + ', "quiver": ')
+        quiver_to_json(quiver, write)
+        write("}")
+    timing = {"seconds": round(time.perf_counter() - started, 6)}
+    write(', "timing": ' + json.dumps(timing) + "}\n")
 
 
 def cmd_colorings(args, catalog: Catalog, started: float) -> int:
@@ -184,20 +203,19 @@ def _dot_output(args, q) -> bool:
     """Write DOT to ``--dot FILE``, or print it for ``--out dot``.
 
     Returns True when DOT went to stdout and nothing more is printed.
-    DOT is built only when one of the two asks for it.
+    DOT is made only when one of the two asks for it.
     """
-    if not args.dot and args.out != "dot":
-        return False
-    dot = to_dot(q, collapse_parallel=args.collapse_parallel)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot + "\n")
+                to_dot(q, args.collapse_parallel, fh.write)
         except OSError as exc:
             raise UsageError(f"cannot write DOT file {args.dot!r}: {exc}") from None
         return False
-    print(dot)
-    return True
+    if args.out == "dot":
+        to_dot(q, args.collapse_parallel, sys.stdout.write)
+        return True
+    return False
 
 
 def cmd_quiver(args, catalog: Catalog, started: float) -> int:
@@ -205,15 +223,14 @@ def cmd_quiver(args, catalog: Catalog, started: float) -> int:
     if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {"vertices": q.n_vertices, "edges": q.n_edges}
-    if args.out == "json":
-        outputs["quiver"] = quiver_to_json(q)
     result = {
         "command": "quiver",
         "parameters": {"knot": args.knot, "quandle": args.quandle,
                        "endos": args.endos, "out": args.out},
         "outputs": outputs,
     }
-    _emit(result, args.format, [f"{q.n_vertices} vertices, {q.n_edges} edges"], started)
+    _emit(result, args.format, [f"{q.n_vertices} vertices, {q.n_edges} edges"], started,
+          q if args.out == "json" else None)
     return EXIT_OK
 
 
@@ -231,8 +248,6 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
         "weight_histogram": [[w, histogram[w]] for w in sorted(histogram)],
         "polynomial": str(poly),
     }
-    if args.out == "json":
-        outputs["quiver"] = quiver_to_json(q)
     result = {
         "command": "shadow",
         "parameters": {"knot": args.knot, "quandle": args.quandle,
@@ -245,7 +260,7 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
         "weights " + " ".join(f"{w}:{c}" for w, c in outputs["weight_histogram"]),
         f"polynomial {poly}",
     ]
-    _emit(result, args.format, lines, started)
+    _emit(result, args.format, lines, started, q if args.out == "json" else None)
     return EXIT_OK
 
 

@@ -19,11 +19,12 @@ A returned witness is always re-verified edge by edge.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
 from .coloring import Coloring, enumerate_colorings, extend_shadow
@@ -57,7 +58,8 @@ class WeightedQuiver:
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(source, target, row) per edge, by vertex, then row; derived from ``targets``."""
+        """(source, target, row) per edge, by vertex, then row; derived from
+        ``targets`` for ``quiver_to_json``."""
         edges: list[tuple[int, int, int]] = []
         for vi, row in enumerate(zip(*self.targets)):
             edges.extend(zip(repeat(vi), row, range(len(row))))
@@ -370,43 +372,83 @@ def cocycle_polynomial(q: WeightedQuiver) -> Polynomial2:
     return Polynomial2(q.weight_modulus, tuple(sorted(counts.items())))
 
 
-def to_dot(q: WeightedQuiver, collapse_parallel: bool = False) -> str:
+def dot_chunks(q: WeightedQuiver, collapse_parallel: bool = False) -> Iterator[str]:
+    """The DOT text of ``to_dot`` in pieces that join with newlines: the
+    header, the vertex lines, then each vertex's out-edge lines, read
+    from its column of the target table."""
+    if q.n_vertices == 0:
+        yield "digraph { }"
+        return
+    yield "digraph {"
+    if q.weights is not None:
+        yield "\n".join(f'  v{i} [label="{i} (w={w})"];' for i, w in enumerate(q.weights))
+    else:
+        yield "\n".join(f'  v{i} [label="{i}"];' for i in range(q.n_vertices))
+    names = list(map(str, range(q.n_vertices)))
+    labels = [f' [label="f{e}"];' for e in range(len(q.targets))]
+    for src, row in enumerate(zip(*q.targets)):
+        head = f"  v{src} -> v"
+        if collapse_parallel:
+            yield "\n".join(
+                head + names[dst] + (f' [label="x{count}"];' if count > 1 else ";")
+                for dst, count in sorted(Counter(row).items())
+            )
+        else:
+            yield "\n".join([head + names[dst] + label for dst, label in zip(row, labels)])
+    yield "}"
+
+
+def to_dot(q: WeightedQuiver, collapse_parallel: bool = False,
+           write=None) -> Optional[str]:
     """Deterministic DOT text; parallel edges are emitted individually.
 
     ``collapse_parallel`` merges parallel edges into one line with a
     multiplicity label.  Display convenience only: isomorphism tests and
-    polynomials always see the full multigraph.
+    polynomials always see the full multigraph.  With ``write``, the
+    text and a closing newline are passed to it one vertex at a time and
+    None is returned, so the whole text is never held.
     """
-    if q.n_vertices == 0:
-        return "digraph { }"
-    lines = ["digraph {"]
-    for i in range(q.n_vertices):
-        if q.weights is not None:
-            lines.append(f'  v{i} [label="{i} (w={q.weights[i]})"];')
-        else:
-            lines.append(f'  v{i} [label="{i}"];')
-    tails = [f" -> v{i}" for i in range(q.n_vertices)]
-    labels = [f' [label="f{e}"];' for e in range(len(q.targets))]
-    for src, row in enumerate(zip(*q.targets)):
-        if collapse_parallel:
-            for dst, count in sorted(Counter(row).items()):
-                attr = f' [label="x{count}"]' if count > 1 else ""
-                lines.append(f"  v{src} -> v{dst}{attr};")
-        else:
-            lines.extend(f"  v{src}{tails[dst]}{label}" for dst, label in zip(row, labels))
-    lines.append("}")
-    return "\n".join(lines)
+    if write is None:
+        return "\n".join(dot_chunks(q, collapse_parallel))
+    for chunk in dot_chunks(q, collapse_parallel):
+        write(chunk + "\n")
+    return None
 
 
-def quiver_to_json(q: WeightedQuiver) -> dict:
-    vertices = []
-    for i in range(q.n_vertices):
-        entry: dict = {"id": i}
-        if q.weights is not None:
-            entry["weight"] = q.weights[i]
-        vertices.append(entry)
+def _vertex_entries(q: WeightedQuiver) -> list[dict]:
+    if q.weights is None:
+        return [{"id": i} for i in range(q.n_vertices)]
+    return [{"id": i, "weight": w} for i, w in enumerate(q.weights)]
+
+
+def quiver_to_json(q: WeightedQuiver, write=None) -> Optional[dict]:
+    """The quiver as a JSON-ready dict; ``edges`` is the derived edge list.
+
+    With ``write``, the text of ``json.dumps`` of that dict is passed to
+    it one vertex at a time (``quiver_json_chunks``) and None is
+    returned, so no edge list is built.
+    """
+    if write is not None:
+        for chunk in quiver_json_chunks(q):
+            write(chunk)
+        return None
     return {
-        "vertices": vertices,
+        "vertices": _vertex_entries(q),
         "edges": q.edges,
         "endos": [f.image for f in q.endos],
     }
+
+
+def quiver_json_chunks(q: WeightedQuiver) -> Iterator[str]:
+    """The text of ``json.dumps(quiver_to_json(q))`` in pieces, with no
+    edge list built: one piece per vertex holds its out-edges, spelled
+    ``[v, target, row]`` as ``json.dumps`` spells them, read from the
+    vertex's column of the target table."""
+    yield '{"vertices": ' + json.dumps(_vertex_entries(q)) + ', "edges": ['
+    names = list(map(str, range(q.n_vertices)))
+    tails = [f", {e}]" for e in range(len(q.targets))]
+    for v, col in enumerate(zip(*q.targets)):
+        head = f"[{v}, "
+        text = ", ".join([head + names[t] + tail for t, tail in zip(col, tails)])
+        yield ", " + text if v else text
+    yield '], "endos": ' + json.dumps([f.image for f in q.endos]) + "}"

@@ -2,12 +2,16 @@
 
 import json
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from quiverknot.catalog import CatalogError, load_catalog
-from quiverknot.cli import main
+from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
+from quiverknot.cocycle import mochizuki
 from quiverknot.quandle import make_dihedral, table_text
+from quiverknot.quiver import coloring_quiver, quiver_to_json, shadow_cocycle_quiver, to_dot
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +177,74 @@ def test_cli_quiver_dot(capsys, tmp_path):
     assert blob["outputs"]["vertices"] == 3
 
 
+STREAMED_RUNS = [
+    ("quiver", knot, spec, endos)
+    for spec, endo_specs in (("dihedral:3", ("all", "auto", "1,2;2,0")),
+                             ("dihedral:5", ("all", "auto", "1,2;2,0")),
+                             ("alexander:9:2", ("all", "auto")))
+    for endos in endo_specs
+    for knot in ("unknot", "4_1", "8_18")
+] + [("shadow", "4_1", "dihedral:5", "all"), ("shadow", "8_18", "dihedral:3", "1,2")]
+
+
+def _library_quiver(catalog, cmd, knot, spec, endos):
+    """The quiver the CLI builds for these arguments, at the default base 0."""
+    X = parse_quandle_spec(spec)
+    S = parse_endo_spec(endos, X)
+    if cmd == "shadow":
+        return shadow_cocycle_quiver(catalog.diagram(knot), X, S, 0, mochizuki(X.order))
+    return coloring_quiver(catalog.diagram(knot), X, S)
+
+
+def test_cli_streamed_json_equals_json_dumps(capsys, catalog):
+    for cmd, knot, spec, endos in STREAMED_RUNS:
+        code, out, err = run_cli(capsys, cmd, "--knot", knot, "--quandle", spec,
+                                 "--endos", endos)
+        assert code == 0, err
+        blob = json.loads(out)
+        timing = blob.pop("timing")
+        blob["outputs"]["quiver"] = quiver_to_json(
+            _library_quiver(catalog, cmd, knot, spec, endos))
+        assert out == json.dumps({**blob, "timing": timing}) + "\n", (cmd, knot, spec, endos)
+
+
+def test_cli_dot_stdout_equals_dot_file(capsys, tmp_path, catalog):
+    path = tmp_path / "q.dot"
+    for cmd, knot, spec, endos in STREAMED_RUNS[::3]:
+        q = _library_quiver(catalog, cmd, knot, spec, endos)
+        for collapse in ([], ["--collapse-parallel"]):
+            argv = [cmd, "--knot", knot, "--quandle", spec, "--endos", endos, *collapse]
+            code, out, _ = run_cli(capsys, *argv, "--out", "dot")
+            assert code == 0
+            assert out == to_dot(q, collapse_parallel=bool(collapse)) + "\n"
+            run_json(capsys, *argv, "--dot", str(path))
+            assert path.read_text(encoding="utf-8") == out
+
+
+def test_cli_quiver_output_holds_no_per_edge_objects():
+    # 8_10 over R_27: 729 vertices and 531,441 edges.  Building the whole
+    # edge list, line list or output string peaked near 70 MB; the quiver
+    # itself holds about 4.5 MB.
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    argv = ["quiver", "--knot", "8_10", "--quandle", "dihedral:27", "--endos", "all"]
+    with redirect_stdout(Sink()):
+        assert main(argv) == 0  # warm-up: the quandle and catalog are not counted
+        for out in ("json", "dot"):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", out]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 12_000_000, (out, peak)
+
+
 def test_cli_unwritable_dot_file_is_usage_error(capsys, tmp_path):
     path = str(tmp_path / "missing" / "x.dot")
     for cmd in ("quiver", "shadow"):
@@ -283,6 +355,17 @@ def test_cli_bad_catalog_is_data_error(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "colorings", "--knot", "4_1",
                            "--quandle", "dihedral:5")
     assert code == 3
+
+
+def test_cli_undecodable_catalog_is_data_error(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    monkeypatch.setenv("QUIVERKNOT_CATALOG", str(path))
+    code, out, err = run_cli(capsys, "colorings", "--knot", "4_1",
+                             "--quandle", "dihedral:3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: catalog file") and "not valid UTF-8" in err
 
 
 def test_cli_text_format(capsys):

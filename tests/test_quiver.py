@@ -1,5 +1,6 @@
 """Quiver construction, isomorphism, polynomials and DOT export."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 from quiverknot.catalog import load_catalog
-from quiverknot.cli import parse_endo_spec
+from quiverknot.cli import parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import invariant_multiset, mochizuki
 from quiverknot.coloring import apply_endo, enumerate_colorings
 from quiverknot.diagram import unknot_diagram
@@ -29,6 +30,7 @@ from quiverknot.quiver import (
     cocycle_polynomial,
     coloring_quiver,
     quiver_isomorphic,
+    quiver_json_chunks,
     quiver_to_json,
     shadow_cocycle_quiver,
     to_dot,
@@ -318,6 +320,45 @@ def test_quiver_json_schema(catalog):
     assert all("weight" in v for v in blob["vertices"])
     assert len(blob["edges"]) == q.n_edges
     assert len(blob["endos"]) == len(q.endos)
+
+
+def _streamed_quivers(catalog):
+    """Hand-built edge cases, then catalog quivers over three quandles."""
+    yield WeightedQuiver((), (), ())
+    yield WeightedQuiver((), ((), ()), ())
+    yield WeightedQuiver((0, 1, 2), (), ())
+    yield WeightedQuiver((0, 1, 2), ((2, 0, 0),), (QuandleMap(3, 3, (0, 2, 1)),))
+    yield WeightedQuiver((0, 1), ((1, 1), (1, 0)), (), (3, 0), 5)
+    lists = ("all", "auto", "1,2;2,0")
+    for spec, endo_specs in (("dihedral:3", lists), ("dihedral:5", lists),
+                             ("alexander:9:2", lists[:2])):
+        X = parse_quandle_spec(spec)
+        for endos in endo_specs:
+            S = parse_endo_spec(endos, X)
+            for knot in ("unknot", "3_1", "4_1", "8_18"):
+                yield coloring_quiver(catalog.diagram(knot), X, S)
+    R5 = make_dihedral(5)
+    yield shadow_cocycle_quiver(catalog.diagram("4_1"), R5, enumerate_homs(R5, R5), 2,
+                                mochizuki(5))
+
+
+def test_streamed_json_equals_json_dumps(catalog):
+    for q in _streamed_quivers(catalog):
+        chunks = list(quiver_json_chunks(q))
+        blob = quiver_to_json(q)
+        assert "".join(chunks) == json.dumps(blob)
+        # the edge array alone, between the head and the endos
+        assert "[" + "".join(chunks[1:-1]) + "]" == json.dumps(blob["edges"])
+        assert len(chunks) == 2 + (q.n_vertices if q.targets else 0)
+        # the writing forms used by the CLI pass the same text on
+        pieces: list[str] = []
+        assert quiver_to_json(q, pieces.append) is None
+        assert pieces == chunks
+        pieces.clear()
+        for collapse in (False, True):
+            assert to_dot(q, collapse, pieces.append) is None
+            assert "".join(pieces) == to_dot(q, collapse) + "\n"
+            pieces.clear()
 
 
 def test_collapse_parallel_is_display_only(catalog):
