@@ -52,11 +52,9 @@ from .coloring import (
 )
 from .cocycle import (
     Cocycle3,
-    cocycle_table_text,
     invariant_multiset,
     mochizuki,
     multiset_to_json,
-    parse_cocycle_table_text,
     verify_cocycle,
     weight_sum,
     zero_cocycle,

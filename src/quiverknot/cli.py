@@ -14,14 +14,23 @@ trailing timing field, which gives the seconds from just before catalog
 load to just before that closing field is written, on a monotonic
 clock.  Quiver JSON and DOT are written one vertex at a time from the
 quiver's target table, so no whole edge list or output string is held.
+
+Every command checks its inputs in one order: knots, quandle,
+endomorphisms, then cocycle and base.  Each option is declared once, in
+``OPTIONS``, and the parser is built once per process, so in-process
+callers do not rebuild it per call.  ``main`` looks the command up by
+name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
+tracer, a test's monkeypatch) is the function called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from collections import Counter
 from typing import Optional, Sequence
 
 from .catalog import Catalog, CatalogError, load_catalog
@@ -190,13 +199,18 @@ def _cocycle(args, X: FiniteQuandle) -> Cocycle3:
     return theta
 
 
-def _build_quiver(args, catalog: Catalog, weighted: bool):
-    d = resolve_knot(args.knot, catalog)
+def _build_quivers(args, catalog: Catalog, knots: list[str], weighted: bool):
+    """Resolve the knots, the quandle, the endomorphisms and (weighted) the
+    cocycle, in that order; return the diagrams, X, theta and one quiver
+    per knot.  theta is None unless weighted."""
+    diagrams = [resolve_knot(knot, catalog) for knot in knots]
     X = parse_quandle_spec(args.quandle)
     S = parse_endo_spec(args.endos, X)
     if not weighted:
-        return coloring_quiver(d, X, S)
-    return shadow_cocycle_quiver(d, X, S, args.base, _cocycle(args, X))
+        return diagrams, X, None, [coloring_quiver(d, X, S) for d in diagrams]
+    theta = _cocycle(args, X)
+    return diagrams, X, theta, [shadow_cocycle_quiver(d, X, S, args.base, theta)
+                                for d in diagrams]
 
 
 def _dot_output(args, q) -> bool:
@@ -219,7 +233,7 @@ def _dot_output(args, q) -> bool:
 
 
 def cmd_quiver(args, catalog: Catalog, started: float) -> int:
-    q = _build_quiver(args, catalog, weighted=False)
+    _, _, _, (q,) = _build_quivers(args, catalog, [args.knot], weighted=False)
     if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {"vertices": q.n_vertices, "edges": q.n_edges}
@@ -235,17 +249,14 @@ def cmd_quiver(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_shadow(args, catalog: Catalog, started: float) -> int:
-    q = _build_quiver(args, catalog, weighted=True)
-    poly = cocycle_polynomial(q)
-    histogram: dict[int, int] = {}
-    for w in q.weights:
-        histogram[w] = histogram.get(w, 0) + 1
+    _, _, _, (q,) = _build_quivers(args, catalog, [args.knot], weighted=True)
     if _dot_output(args, q):
         return EXIT_OK
+    poly = cocycle_polynomial(q)
     outputs: dict = {
         "vertices": q.n_vertices,
         "edges": q.n_edges,
-        "weight_histogram": [[w, histogram[w]] for w in sorted(histogram)],
+        "weight_histogram": multiset_to_json(Counter(q.weights)),
         "polynomial": str(poly),
     }
     result = {
@@ -265,16 +276,11 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_compare(args, catalog: Catalog, started: float) -> int:
-    X = parse_quandle_spec(args.quandle)
-    S = parse_endo_spec(args.endos, X)
-    dA = resolve_knot(args.knotA, catalog)
-    dB = resolve_knot(args.knotB, catalog)
+    (dA, dB), X, theta, (qA, qB) = _build_quivers(
+        args, catalog, [args.knotA, args.knotB], args.weighted)
+    iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
     outputs: dict = {}
     if args.weighted:
-        theta = _cocycle(args, X)
-        qA = shadow_cocycle_quiver(dA, X, S, args.base, theta)
-        qB = shadow_cocycle_quiver(dB, X, S, args.base, theta)
-        iso, witness = quiver_isomorphic(qA, qB, respect_weights=True)
         mA = invariant_multiset(dA, X, theta, colorings=qA.vertices)
         mB = invariant_multiset(dB, X, theta, colorings=qB.vertices)
         outputs["multisets"] = {
@@ -282,10 +288,6 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
             "B": multiset_to_json(mB),
             "equal": mA == mB,
         }
-    else:
-        qA = coloring_quiver(dA, X, S)
-        qB = coloring_quiver(dB, X, S)
-        iso, witness = quiver_isomorphic(qA, qB)
     outputs["counts"] = [qA.n_vertices, qB.n_vertices]
     outputs["isomorphic"] = iso
     outputs["witness"] = list(witness) if witness is not None else None
@@ -301,69 +303,65 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
     return EXIT_OK
 
 
+_KNOT_HELP = "catalog name or PD code"
+
+# Each option's add_argument keywords, declared once.
+OPTIONS = {
+    "knotA": {"help": _KNOT_HELP},
+    "knotB": {"help": _KNOT_HELP},
+    "--knot": {"required": True, "help": _KNOT_HELP},
+    "--quandle": {"required": True, "help": "dihedral:n | alexander:n:t | table:PATH"},
+    "--count": {"action": "store_true", "help": "count only (default)"},
+    "--list": {"action": "store_true", "help": "list the colorings"},
+    "--endos": {"default": "all", "help": "all | auto | 'a,b;a,b;...'"},
+    "--weighted": {"action": "store_true", "help": "compare shadow cocycle quivers"},
+    "--cocycle": {"default": "mochizuki",
+                  "help": "only mochizuki, which needs dihedral:p with p an odd prime"},
+    "--base": {"type": int, "default": 0, "help": "label of the unbounded region"},
+    "--out": {"choices": ["json", "dot"], "default": "json", "help": "print JSON or DOT"},
+    "--dot": {"metavar": "FILE", "help": "write DOT to a file"},
+    "--collapse-parallel": {"action": "store_true",
+                            "help": "merge parallel edges in DOT output (display only)"},
+    "--format": {"choices": ["json", "text"], "default": "json",
+                 "help": "JSON, or a short human summary"},
+}
+
+# Each subcommand's help and its option names, in usage-line order.
+COMMANDS = {
+    "colorings": ("count or list quandle colorings",
+                  "--knot --quandle --count --list --format"),
+    "quiver": ("build a quandle coloring quiver",
+               "--knot --quandle --endos --out --dot --collapse-parallel --format"),
+    "shadow": ("build a shadow cocycle quiver",
+               "--knot --quandle --cocycle --base --endos --out --dot --collapse-parallel "
+               "--format"),
+    "compare": ("decide quiver isomorphism of two knots",
+                "knotA knotB --quandle --endos --weighted --cocycle --base --format"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built the first time a process asks for it."""
     parser = argparse.ArgumentParser(
         prog="quiverknot",
         description="Quandle coloring quivers and shadow cocycle invariants "
                     "of knots given as PD codes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = sub.add_parser("colorings", help="count or list quandle colorings")
-    p.add_argument("--knot", required=True, help="catalog name or PD code")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--count", action="store_true", help="count only (default)")
-    p.add_argument("--list", action="store_true", help="list the colorings")
-    common(p)
-    p.set_defaults(func=cmd_colorings)
-
-    p = sub.add_parser("quiver", help="build a quandle coloring quiver")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--endos", default="all", help="all | auto | 'a,b;a,b;...'")
-    p.add_argument("--out", choices=["json", "dot"], default="json")
-    p.add_argument("--dot", metavar="FILE", help="write DOT to a file")
-    p.add_argument("--collapse-parallel", action="store_true",
-                   help="merge parallel edges in DOT output (display only)")
-    common(p)
-    p.set_defaults(func=cmd_quiver)
-
-    p = sub.add_parser("shadow", help="build a shadow cocycle quiver")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--quandle", required=True, help="dihedral:p with p an odd prime")
-    p.add_argument("--cocycle", default="mochizuki")
-    p.add_argument("--base", type=int, default=0, help="label of the unbounded region")
-    p.add_argument("--endos", default="all")
-    p.add_argument("--out", choices=["json", "dot"], default="json")
-    p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--collapse-parallel", action="store_true",
-                   help="merge parallel edges in DOT output (display only)")
-    common(p)
-    p.set_defaults(func=cmd_shadow)
-
-    p = sub.add_parser("compare", help="decide quiver isomorphism of two knots")
-    p.add_argument("knotA")
-    p.add_argument("knotB")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--endos", default="all")
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--cocycle", default="mochizuki")
-    p.add_argument("--base", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_compare)
+    for command, (help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            p.add_argument(name, **OPTIONS[name])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         catalog = load_catalog()
-        return args.func(args, catalog, started)
+        return globals()["cmd_" + args.subcommand](args, catalog, started)
     except (UsageError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

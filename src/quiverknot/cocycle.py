@@ -169,37 +169,3 @@ def invariant_multiset(
 def multiset_to_json(counter: Counter) -> list[list[int]]:
     """Sorted [value, multiplicity] pairs, the serialized multiset form."""
     return [[v, counter[v]] for v in sorted(counter)]
-
-
-def parse_cocycle_table_text(text: str) -> Cocycle3:
-    """Parse the cocycle file format: header ``n m``, then n^2 lines of n
-    integers, x-major then y, each line listing values over z."""
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise InvalidParameterError("cocycle table needs an 'n m' header")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise InvalidParameterError(f"non-integer token in cocycle table: {exc}") from None
-    n, m = values[0], values[1]
-    if n < 1 or m < 1 or len(values) != 2 + n * n * n:
-        raise InvalidParameterError(
-            f"expected {n}^3 entries after the header, got {len(values) - 2}"
-        )
-    body = values[2:]
-    table = []
-    for x in range(n):
-        plane = []
-        for y in range(n):
-            start = (x * n + y) * n
-            plane.append(tuple(v % m for v in body[start : start + n]))
-        table.append(tuple(plane))
-    return Cocycle3(n, m, tuple(table))
-
-
-def cocycle_table_text(theta: Cocycle3) -> str:
-    lines = [f"{theta.quandle_order} {theta.modulus}"]
-    for x in range(theta.quandle_order):
-        for y in range(theta.quandle_order):
-            lines.append(" ".join(str(v) for v in theta.table[x][y]))
-    return "\n".join(lines) + "\n"

@@ -1,12 +1,17 @@
 """Catalog loading/validation and the command-line frontend."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
 
+import quiverknot
 from quiverknot.catalog import CatalogError, load_catalog
 from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
@@ -95,6 +100,9 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+TIMING = re.compile(r', "timing": \{"seconds": [0-9.e-]+\}')
 
 
 def run_json(capsys, *argv):
@@ -336,6 +344,90 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "colorings", "--knot", "X(1,5,2,4) X(3,6,4,1) X(5,2,6,3)",
                            "--quandle", "dihedral:3")
     assert code == 3
+
+
+def test_cli_compare_reports_a_bad_knot_before_a_bad_quandle(capsys):
+    # compare checks its inputs in the order quiver and shadow use
+    code, out, err = run_cli(capsys, "compare", "4_1", "nosuch", "--quandle", "dihedral:0")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown knot 'nosuch' (not a catalog name or PD code)\n"
+
+
+USAGE = {
+    None: "usage: quiverknot [-h] {colorings,quiver,shadow,compare} ...\n",
+    "colorings": "usage: quiverknot colorings [-h] --knot KNOT --quandle QUANDLE [--count]\n"
+                 "                            [--list] [--format {json,text}]\n",
+    "quiver": "usage: quiverknot quiver [-h] --knot KNOT --quandle QUANDLE [--endos ENDOS]\n"
+              "                         [--out {json,dot}] [--dot FILE] [--collapse-parallel]\n"
+              "                         [--format {json,text}]\n",
+    "shadow": "usage: quiverknot shadow [-h] --knot KNOT --quandle QUANDLE\n"
+              "                         [--cocycle COCYCLE] [--base BASE] [--endos ENDOS]\n"
+              "                         [--out {json,dot}] [--dot FILE] [--collapse-parallel]\n"
+              "                         [--format {json,text}]\n",
+    "compare": "usage: quiverknot compare [-h] --quandle QUANDLE [--endos ENDOS] [--weighted]\n"
+               "                          [--cocycle COCYCLE] [--base BASE]\n"
+               "                          [--format {json,text}]\n"
+               "                          knotA knotB\n",
+}
+
+FORMATS = ("json", "text")
+ARGPARSE_ERRORS = [
+    # (argv, subcommand, message, choices the message lists)
+    ([], None, "the following arguments are required: subcommand", ()),
+    (["nosuch"], None, "argument subcommand: invalid choice: 'nosuch' (choose from {})",
+     ("colorings", "quiver", "shadow", "compare")),
+    (["colorings", "--knot", "4_1"], "colorings",
+     "the following arguments are required: --quandle", ()),
+    (["colorings", "--knot", "4_1", "--quandle", "dihedral:3", "--format", "xml"], "colorings",
+     "argument --format: invalid choice: 'xml' (choose from {})", FORMATS),
+    (["quiver", "--quandle", "dihedral:3"], "quiver",
+     "the following arguments are required: --knot", ()),
+    (["quiver", "--knot", "4_1", "--quandle", "dihedral:3", "--out", "png"], "quiver",
+     "argument --out: invalid choice: 'png' (choose from {})", ("json", "dot")),
+    (["shadow", "--knot", "4_1"], "shadow",
+     "the following arguments are required: --quandle", ()),
+    (["shadow", "--knot", "4_1", "--quandle", "dihedral:3", "--format", "xml"], "shadow",
+     "argument --format: invalid choice: 'xml' (choose from {})", FORMATS),
+    (["shadow", "--knot", "4_1", "--quandle", "dihedral:3", "--base", "x"], "shadow",
+     "argument --base: invalid int value: 'x'", ()),
+    (["compare", "4_1", "--quandle", "dihedral:3"], "compare",
+     "the following arguments are required: knotB", ()),
+    (["compare", "4_1", "5_1", "--quandle", "dihedral:3", "--format", "yaml"], "compare",
+     "argument --format: invalid choice: 'yaml' (choose from {})", FORMATS),
+    (["compare", "4_1", "5_1", "--quandle", "dihedral:3", "--base", "x"], "compare",
+     "argument --base: invalid int value: 'x'", ()),
+]
+
+
+@pytest.mark.parametrize("argv, command, message, choices", ARGPARSE_ERRORS)
+def test_cli_argparse_errors(capsys, monkeypatch, argv, command, message, choices):
+    # argparse wraps the usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    prog = "quiverknot" if command is None else f"quiverknot {command}"
+    # Later argparse releases list the choices with str() instead of repr().
+    expected = {USAGE[command] + f"{prog}: error: " + message.format(listed) + "\n"
+                for listed in (", ".join(map(repr, choices)), ", ".join(choices))}
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err in expected
+
+
+def test_cli_reused_parser_leaks_no_flags(capsys):
+    # main builds its parser once per process; each call must still see
+    # only its own flags, as a fresh process does.
+    src = os.path.dirname(os.path.dirname(quiverknot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["compare", "4_1", "5_1", "--quandle", "dihedral:5", "--weighted"],
+                 ["compare", "4_1", "5_1", "--quandle", "dihedral:5"],
+                 ["quiver", "--knot", "4_1", "--quandle", "dihedral:3", "--out", "dot"],
+                 ["quiver", "--knot", "4_1", "--quandle", "dihedral:3"]):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "quiverknot", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, TIMING.sub("", out)) == (fresh.returncode, TIMING.sub("", fresh.stdout))
 
 
 def test_cli_bracket_pd_rejects_booleans(capsys):

@@ -7,11 +7,10 @@ import pytest
 
 from quiverknot.catalog import load_catalog
 from quiverknot.cocycle import (
-    cocycle_table_text,
+    Cocycle3,
     invariant_multiset,
     mochizuki,
     multiset_to_json,
-    parse_cocycle_table_text,
     verify_cocycle,
     weight_sum,
     zero_cocycle,
@@ -75,9 +74,7 @@ def test_zero_cocycle_and_corrupted_table():
     assert verify_cocycle(zero_cocycle(3, 3), R3) is None
     table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     table[0][1][2] = 1
-    bad = parse_cocycle_table_text(
-        "3 3\n" + "\n".join(" ".join(map(str, table[x][y])) for x in range(3) for y in range(3))
-    )
+    bad = Cocycle3(3, 3, tuple(tuple(map(tuple, plane)) for plane in table))
     witness = verify_cocycle(bad, R3)
     assert witness is not None
 
@@ -275,11 +272,3 @@ def test_sink_region_convention_fails_reference_values(catalog):
 
 def test_multiset_serialization():
     assert multiset_to_json(Counter({4: 2, 0: 5})) == [[0, 5], [4, 2]]
-
-
-def test_cocycle_table_text_roundtrip():
-    theta = mochizuki(5)
-    again = parse_cocycle_table_text(cocycle_table_text(theta))
-    assert again == theta
-    with pytest.raises(InvalidParameterError):
-        parse_cocycle_table_text("2 3\n0 0\n0 0\n0 0")
