@@ -16,7 +16,8 @@ clock.  Quiver JSON and DOT are written one vertex at a time from the
 quiver's target table, so no whole edge list or output string is held.
 
 Every command checks its inputs in one order: knots, quandle,
-endomorphisms, then cocycle and base.  Each option is declared once, in
+endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
+``--base`` only with ``--weighted``.  Each option is declared once, in
 ``OPTIONS``, and the parser is built once per process, so in-process
 callers do not rebuild it per call.  ``main`` looks the command up by
 name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
@@ -187,30 +188,55 @@ def cmd_colorings(args, catalog: Catalog, started: float) -> int:
     return EXIT_OK
 
 
-def _cocycle(args, X: FiniteQuandle) -> Cocycle3:
-    """The cocycle of ``--cocycle`` over X, after checking ``--base``."""
-    if args.cocycle != "mochizuki":
-        raise UsageError(f"unknown cocycle {args.cocycle!r} (only 'mochizuki')")
+def _option(args, name: str):
+    """The value of ``--name``, or its declared default where the parser
+    left it None (see ``UNSET``)."""
+    value = getattr(args, name)
+    return OPTIONS["--" + name]["default"] if value is None else value
+
+
+def _cocycle(args, X: FiniteQuandle) -> tuple[Cocycle3, int]:
+    """The cocycle of ``--cocycle`` over X and the checked ``--base``."""
+    name, base = _option(args, "cocycle"), _option(args, "base")
+    if name != "mochizuki":
+        raise UsageError(f"unknown cocycle {name!r} (only 'mochizuki')")
     if not X.is_dihedral:
         raise UsageError("the mochizuki cocycle needs a dihedral:p quandle")
     theta = mochizuki(X.order)
-    if not 0 <= args.base < X.order:
-        raise UsageError(f"base {args.base} out of range 0..{X.order - 1}")
-    return theta
+    if not 0 <= base < X.order:
+        raise UsageError(f"base {base} out of range 0..{X.order - 1}")
+    return theta, base
 
 
 def _build_quivers(args, catalog: Catalog, knots: list[str], weighted: bool):
-    """Resolve the knots, the quandle, the endomorphisms and (weighted) the
-    cocycle, in that order; return the diagrams, X, theta and one quiver
-    per knot.  theta is None unless weighted."""
+    """Resolve the knots, the quandle, the endomorphisms and the cocycle
+    and base, in that order; return the diagrams, X, theta, the base and
+    one quiver per knot.  theta and the base are None unless weighted, and
+    then an explicit ``--cocycle`` or ``--base`` is an error."""
     diagrams = [resolve_knot(knot, catalog) for knot in knots]
     X = parse_quandle_spec(args.quandle)
     S = parse_endo_spec(args.endos, X)
     if not weighted:
-        return diagrams, X, None, [coloring_quiver(d, X, S) for d in diagrams]
-    theta = _cocycle(args, X)
-    return diagrams, X, theta, [shadow_cocycle_quiver(d, X, S, args.base, theta)
-                                for d in diagrams]
+        given = [f"--{name}" for name in ("cocycle", "base")
+                 if getattr(args, name, None) is not None]
+        if given:
+            raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
+        return diagrams, X, None, None, [coloring_quiver(d, X, S) for d in diagrams]
+    theta, base = _cocycle(args, X)
+    return diagrams, X, theta, base, [shadow_cocycle_quiver(d, X, S, base, theta)
+                                      for d in diagrams]
+
+
+def _weight_multiset(d: Diagram, X: FiniteQuandle, theta: Cocycle3, base: int,
+                     q) -> Counter:
+    """``invariant_multiset(d, X, theta)`` over the shadow quiver q's
+    colorings: the part of ``base`` is q's weights, and only the other
+    bases are extended here."""
+    multiset = Counter(q.weights)
+    for other in range(X.order):
+        if other != base:
+            multiset.update(invariant_multiset(d, X, theta, other, colorings=q.vertices))
+    return multiset
 
 
 def _dot_output(args, q) -> bool:
@@ -233,7 +259,7 @@ def _dot_output(args, q) -> bool:
 
 
 def cmd_quiver(args, catalog: Catalog, started: float) -> int:
-    _, _, _, (q,) = _build_quivers(args, catalog, [args.knot], weighted=False)
+    *_, (q,) = _build_quivers(args, catalog, [args.knot], weighted=False)
     if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {"vertices": q.n_vertices, "edges": q.n_edges}
@@ -249,7 +275,7 @@ def cmd_quiver(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_shadow(args, catalog: Catalog, started: float) -> int:
-    _, _, _, (q,) = _build_quivers(args, catalog, [args.knot], weighted=True)
+    *_, (q,) = _build_quivers(args, catalog, [args.knot], weighted=True)
     if _dot_output(args, q):
         return EXIT_OK
     poly = cocycle_polynomial(q)
@@ -276,13 +302,13 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_compare(args, catalog: Catalog, started: float) -> int:
-    (dA, dB), X, theta, (qA, qB) = _build_quivers(
+    (dA, dB), X, theta, base, (qA, qB) = _build_quivers(
         args, catalog, [args.knotA, args.knotB], args.weighted)
     iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
     outputs: dict = {}
     if args.weighted:
-        mA = invariant_multiset(dA, X, theta, colorings=qA.vertices)
-        mB = invariant_multiset(dB, X, theta, colorings=qB.vertices)
+        mA = _weight_multiset(dA, X, theta, base, qA)
+        mB = _weight_multiset(dB, X, theta, base, qB)
         outputs["multisets"] = {
             "A": multiset_to_json(mA),
             "B": multiset_to_json(mB),
@@ -326,10 +352,11 @@ OPTIONS = {
                  "help": "JSON, or a short human summary"},
 }
 
-# Each subcommand's help and its option names, in usage-line order.
+# Each subcommand's help and its option names, in usage-line order;
+# names joined by "|" are mutually exclusive.
 COMMANDS = {
     "colorings": ("count or list quandle colorings",
-                  "--knot --quandle --count --list --format"),
+                  "--knot --quandle --count|--list --format"),
     "quiver": ("build a quandle coloring quiver",
                "--knot --quandle --endos --out --dot --collapse-parallel --format"),
     "shadow": ("build a shadow cocycle quiver",
@@ -338,6 +365,11 @@ COMMANDS = {
     "compare": ("decide quiver isomorphism of two knots",
                 "knotA knotB --quandle --endos --weighted --cocycle --base --format"),
 }
+
+# Options a subcommand's parser leaves None when not given, so that an
+# explicit value is told apart from the default: compare reads --cocycle
+# and --base only with --weighted.
+UNSET = {"compare": ("cocycle", "base")}
 
 
 @functools.cache
@@ -351,8 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for command, (help_text, names) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name in names.split():
-            p.add_argument(name, **OPTIONS[name])
+        for token in names.split():
+            group = p.add_mutually_exclusive_group() if "|" in token else p
+            for name in token.split("|"):
+                group.add_argument(name, **OPTIONS[name])
+        p.set_defaults(**dict.fromkeys(UNSET.get(command, ()), None))
     return parser
 
 

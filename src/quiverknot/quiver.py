@@ -11,10 +11,11 @@ polynomial.
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
 match.  It is decided by joint color refinement followed by an
-iterative backtracking search on an explicit stack.  The search keeps a
-candidate list per unmapped vertex and filters it incrementally as
-vertices are mapped, undoing the filtering from a trail on backtrack.
-A returned witness is always re-verified edge by edge.
+iterative backtracking search on an explicit stack.  The search keeps
+the candidates of each unmapped vertex as an int bitmask over the
+other quiver's vertices and cuts every mask with one ``&`` as each
+vertex is mapped, undoing the cuts from a trail on backtrack.  A
+returned witness is always re-verified edge by edge.
 """
 
 from __future__ import annotations
@@ -240,43 +241,54 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
     multiplicities between every two mapped vertices.  Returns
     mapping[v1] = v2, or None when there is none.
 
-    Every unmapped vertex u of q1 keeps the ascending list of the q2
-    vertices it can still map to.  Assigning v -> w filters only these
-    lists: it drops w, and keeps w' for u when the edges u -> v and
-    v -> u are as many as w' -> w and w -> w'.  That is the pairwise
-    compatibility test against all mapped vertices, done one mapped
-    vertex at a time.  A filtered list replaces its predecessor, which
-    goes on a trail that backtracking unwinds.  The search branches on
-    the unmapped vertex with the fewest candidates, the lowest index on
-    a tie, and runs on an explicit stack, so its depth is not bounded
-    by the recursion limit.
+    Every unmapped vertex u of q1 keeps the set of q2 vertices it can
+    still map to, as an int bitmask: bit x is set when u -> x is still
+    possible.  Assigning v -> w groups q2's vertices, in one pass over
+    w's neighbours, into masks keyed by the pair (edges x -> w, edges
+    w -> x); every vertex not adjacent to w falls in the (0, 0) mask, and
+    w itself in none.  Each unmapped u is then cut with one ``&``
+    against the mask of its own pair (edges u -> v, edges v -> u).  That
+    is the pairwise compatibility test against all mapped vertices, done
+    one mapped vertex at a time.  A changed mask replaces its
+    predecessor, which goes on a trail that backtracking unwinds.  The
+    search branches on the unmapped vertex with the fewest candidates,
+    the lowest index on a tie, tries its candidates from the lowest bit
+    up, and runs on an explicit stack, so its depth is not bounded by
+    the recursion limit.
     """
     n = len(colors1)
-    by_color: dict[int, list[int]] = {}
+    bits = [1 << x for x in range(n)]
+    full = (1 << n) - 1
+    by_key: dict[tuple[int, int], int] = {}
     for w, col in enumerate(colors2):
-        by_color.setdefault(col, []).append(w)
-    cand = []
-    for v in range(n):
-        loops = out1[v].get(v, 0)
-        cand.append([w for w in by_color[colors1[v]] if out2[w].get(w, 0) == loops])
+        key = (col, out2[w].get(w, 0))
+        by_key[key] = by_key.get(key, 0) | bits[w]
+    cand = [by_key.get((colors1[v], out1[v].get(v, 0)), 0) for v in range(n)]
     if not all(cand):
         return None
 
     mapping = [-1] * n
-    trail: list[tuple[int, list[int]]] = []
+    trail: list[tuple[int, int]] = []
 
     def assign(v: int, w: int) -> bool:
-        """Map v -> w and filter the lists; False when one runs empty."""
+        """Map v -> w and cut the masks; False when one runs empty."""
         mapping[v] = w
+        to_w, from_w = in2[w], out2[w]
+        masks: dict[tuple[int, int], int] = {}
+        adjacent = bits[w]
+        for x in to_w.keys() | from_w.keys():
+            if x != w:
+                key = (to_w.get(x, 0), from_w.get(x, 0))
+                masks[key] = masks.get(key, 0) | bits[x]
+                adjacent |= bits[x]
+        masks[(0, 0)] = full & ~adjacent
         to_v, from_v = in1[v].get, out1[v].get
-        to_w, from_w = in2[w].get, out2[w].get
         for u in range(n):
             if mapping[u] >= 0:
                 continue
-            a, b = to_v(u, 0), from_v(u, 0)
             old = cand[u]
-            new = [x for x in old if x != w and to_w(x, 0) == a and from_w(x, 0) == b]
-            if len(new) < len(old):
+            new = old & masks.get((to_v(u, 0), from_v(u, 0)), 0)
+            if new != old:
                 trail.append((u, old))
                 cand[u] = new
                 if not new:
@@ -286,31 +298,34 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
     def select() -> int:
         best_v, best_len = -1, n + 1
         for v in range(n):
-            if mapping[v] < 0 and len(cand[v]) < best_len:
-                best_v, best_len = v, len(cand[v])
-                if best_len <= 1:
-                    break
+            if mapping[v] < 0:
+                size = cand[v].bit_count()
+                if size < best_len:
+                    best_v, best_len = v, size
+                    if best_len <= 1:
+                        break
         return best_v
 
-    # A frame is [vertex, its candidates, next candidate index, trail length].
+    # A frame is [vertex, mask of its untried candidates, trail length].
     v = select()
-    stack = [[v, cand[v], 0, 0]]
+    stack = [[v, cand[v], 0]]
     while stack:
         frame = stack[-1]
-        v, options, i, mark = frame
+        v, options, mark = frame
         while len(trail) > mark:
             u, old = trail.pop()
             cand[u] = old
         mapping[v] = -1
-        if i == len(options):
+        if not options:
             stack.pop()
             continue
-        frame[2] = i + 1
-        if assign(v, options[i]):
+        low = options & -options
+        frame[1] = options ^ low
+        if assign(v, low.bit_length() - 1):
             v = select()
             if v < 0:
                 return mapping
-            stack.append([v, cand[v], 0, len(trail)])
+            stack.append([v, cand[v], len(trail)])
     return None
 
 

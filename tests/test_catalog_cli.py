@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -353,10 +354,55 @@ def test_cli_compare_reports_a_bad_knot_before_a_bad_quandle(capsys):
     assert err == "error: unknown knot 'nosuch' (not a catalog name or PD code)\n"
 
 
+def test_cli_compare_takes_cocycle_and_base_only_when_weighted(capsys):
+    r5 = ["compare", "4_1", "5_1", "--quandle", "dihedral:5"]
+    for extra, named in ((["--base", "9"], "--base"), (["--base", "0"], "--base"),
+                         (["--cocycle", "mochizuki"], "--cocycle"),
+                         (["--cocycle", "foo", "--base", "0"], "--cocycle and --base")):
+        code, out, err = run_cli(capsys, *r5, *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == f"error: compare reads {named} only with --weighted\n"
+    code, out, err = run_cli(capsys, *r5, "--base", "9", "--weighted")
+    assert (code, out, err) == (2, "", "error: base 9 out of range 0..4\n")
+    # the options' defaults still apply to a weighted compare
+    _, default, _ = run_cli(capsys, *r5, "--weighted")
+    _, given, _ = run_cli(capsys, *r5, "--weighted", "--cocycle", "mochizuki", "--base", "0")
+    assert TIMING.sub("", default) == TIMING.sub("", given)
+    assert json.loads(default)["outputs"]["multisets"]["A"] == [[0, 25], [1, 50], [4, 50]]
+
+
+def test_cli_weighted_compare_extends_each_shadow_once_per_base(capsys, monkeypatch, catalog):
+    # the weights the shadow quivers hold at --base are not extended again
+    # for the multisets: 25 colorings per knot, one extension per base
+    from quiverknot import cocycle as cocycle_module
+    from quiverknot import quiver as quiver_module
+    from quiverknot.cocycle import invariant_multiset, multiset_to_json
+
+    calls = []
+    for module in (cocycle_module, quiver_module):
+        real = module.extend_shadow
+        monkeypatch.setattr(module, "extend_shadow",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    for base in range(5):
+        calls.clear()
+        blob = run_json(capsys, "compare", "4_1", "5_1", "--quandle", "dihedral:5",
+                        "--weighted", "--base", str(base))
+        assert len(calls) == 250
+        assert sorted(Counter(args[3] for args in calls).values()) == [50] * 5
+        X, theta = make_dihedral(5), mochizuki(5)
+        for side, knot in (("A", "4_1"), ("B", "5_1")):
+            full = invariant_multiset(catalog.diagram(knot), X, theta)
+            assert blob["outputs"]["multisets"][side] == multiset_to_json(full)
+
+
 USAGE = {
     None: "usage: quiverknot [-h] {colorings,quiver,shadow,compare} ...\n",
-    "colorings": "usage: quiverknot colorings [-h] --knot KNOT --quandle QUANDLE [--count]\n"
-                 "                            [--list] [--format {json,text}]\n",
+    # Python 3.13 wraps a mutually exclusive group between its members.
+    "colorings": ("usage: quiverknot colorings [-h] --knot KNOT --quandle QUANDLE [--count |\n"
+                  "                            --list] [--format {json,text}]\n"
+                  if sys.version_info >= (3, 13) else
+                  "usage: quiverknot colorings [-h] --knot KNOT --quandle QUANDLE\n"
+                  "                            [--count | --list] [--format {json,text}]\n"),
     "quiver": "usage: quiverknot quiver [-h] --knot KNOT --quandle QUANDLE [--endos ENDOS]\n"
               "                         [--out {json,dot}] [--dot FILE] [--collapse-parallel]\n"
               "                         [--format {json,text}]\n",
@@ -396,6 +442,8 @@ ARGPARSE_ERRORS = [
      "argument --format: invalid choice: 'yaml' (choose from {})", FORMATS),
     (["compare", "4_1", "5_1", "--quandle", "dihedral:3", "--base", "x"], "compare",
      "argument --base: invalid int value: 'x'", ()),
+    (["colorings", "--knot", "4_1", "--quandle", "dihedral:3", "--count", "--list"],
+     "colorings", "argument --list: not allowed with argument --count", ()),
 ]
 
 

@@ -1,5 +1,6 @@
 """Quiver construction, isomorphism, polynomials and DOT export."""
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -416,6 +417,37 @@ def test_long_rigid_path_needs_no_recursion():
     n = 1100
     path = WeightedQuiver(tuple(range(n)), (tuple(range(1, n)) + (n - 1,),), ())
     assert quiver_isomorphic(path, path) == (True, tuple(range(n)))
+
+
+# SHA-256 of the lines "n knotA knotB verdict witness" below, recorded
+# with the candidate-list search that the bitset search replaced.
+CATALOG_END_VERDICTS_SHA256 = "704669c6530f6c324231c7361fc4da4571403fc523dbdf6916cf2b5b8d9fadd9"
+
+
+def test_catalog_verdicts_and_witnesses_are_pinned(catalog):
+    # every ordered catalog pair over R_5 and R_9 with End: the verdicts
+    # and the exact witnesses the search returns
+    digest = hashlib.sha256()
+    names = catalog.names()
+    for n in (5, 9):
+        X = make_dihedral(n)
+        end = enumerate_homs(X, X)
+        quivers = {k: coloring_quiver(catalog.diagram(k), X, end) for k in names}
+        for a in names:
+            for b in names:
+                iso, witness = quiver_isomorphic(quivers[a], quivers[b])
+                digest.update(f"{n} {a} {b} {iso} {witness}\n".encode())
+    assert digest.hexdigest() == CATALOG_END_VERDICTS_SHA256
+
+
+def test_large_self_compare_returns_the_identity(catalog):
+    # 675 vertices and 151,875 edges in 4 refined classes: the search
+    # assigns every vertex without a backtrack and keeps the identity
+    R15 = make_dihedral(15)
+    q = coloring_quiver(catalog.diagram("8_18"), R15, enumerate_homs(R15, R15))
+    iso, witness = quiver_isomorphic(q, q)
+    assert iso and witness == tuple(range(675))
+    assert _verify_witness(q, q, witness, False)
 
 
 def brute_force_isomorphic(q1, q2, respect_weights):
