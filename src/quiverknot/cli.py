@@ -46,8 +46,9 @@ from .diagram import (
 )
 from .quandle import (
     FiniteQuandle,
+    Homs,
     InvalidParameterError,
-    QuandleMap,
+    affine_endos,
     enumerate_autos,
     enumerate_homs,
     make_alexander,
@@ -84,7 +85,10 @@ def parse_quandle_spec(spec: str) -> FiniteQuandle:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read quandle table {path!r}: {exc}") from None
-        except ValueError as exc:  # undecodable bytes, or a NUL in the path
+        except UnicodeDecodeError as exc:
+            raise QuandleDataError(
+                f"quandle table {path!r} is not valid UTF-8: {exc}") from None
+        except ValueError as exc:  # a NUL in the path
             raise UsageError(f"bad quandle spec {spec!r}: {exc}") from None
         try:
             return parse_table_text(text)
@@ -103,28 +107,22 @@ def parse_quandle_spec(spec: str) -> FiniteQuandle:
     )
 
 
-def parse_endo_spec(spec: str, X: FiniteQuandle) -> list[QuandleMap]:
+def parse_endo_spec(spec: str, X: FiniteQuandle) -> Homs:
     if spec == "all":
         return enumerate_homs(X, X)
     if spec == "auto":
         return enumerate_autos(X)
-    if not X.is_dihedral:
-        raise UsageError("explicit a,b endomorphism lists require a dihedral quandle")
-    n = X.order
-    endos = []
-    for chunk in spec.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"bad endo pair {chunk!r} (expected 'a,b')")
-        try:
-            a, b = int(parts[0]) % n, int(parts[1]) % n
-        except ValueError:
-            raise UsageError(f"bad endo pair {chunk!r} (expected integers)") from None
-        # Every affine map is an endomorphism of R_n, so there is nothing
-        # to reject: f(x*y) = a(2y - x) + b = 2f(y) - f(x) = f(x)*f(y).
-        image = tuple((a * x + b) % n for x in range(n))
-        endos.append(QuandleMap(n, n, image))
-    return endos
+    return affine_endos(X, map(_endo_pair, spec.split(";")))  # X is checked first
+
+
+def _endo_pair(chunk: str) -> tuple[int, int]:
+    parts = chunk.split(",")
+    if len(parts) != 2:
+        raise UsageError(f"bad endo pair {chunk!r} (expected 'a,b')")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise UsageError(f"bad endo pair {chunk!r} (expected integers)") from None
 
 
 def resolve_knot(name_or_pd: str, catalog: Catalog) -> Diagram:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class InvalidParameterError(ValueError):
@@ -175,6 +175,18 @@ class QuandleMap:
         return f"QuandleMap(image={self.image})"
 
 
+class Homs(tuple):
+    """Homomorphisms ``source -> target``, proved where this module made them."""
+
+    def __new__(cls, source: FiniteQuandle, target: FiniteQuandle, maps: Iterable):
+        self = super().__new__(cls, maps)
+        self.source, self.target = source, target
+        return self
+
+    def __reduce__(self):  # for copy and pickle; tuple's passes only the maps
+        return Homs, (self.source, self.target, tuple(self))
+
+
 def is_homomorphism(f: QuandleMap, X: FiniteQuandle, Y: FiniteQuandle) -> bool:
     """Exhaustive check of f(x*y) == f(x)*f(y)."""
     img = f.image
@@ -182,16 +194,10 @@ def is_homomorphism(f: QuandleMap, X: FiniteQuandle, Y: FiniteQuandle) -> bool:
         return False
     if not 0 <= min(img) <= max(img) < Y.order:
         return False
-    return _image_is_hom(img, X.op, Y.op)
-
-
-def _image_is_hom(img: Sequence[int], Xop, Yop) -> bool:
-    n = len(img)
-    for x in range(n):
-        row = Xop[x]
-        fx = img[x]
-        for y in range(n):
-            if img[row[y]] != Yop[fx][img[y]]:
+    for row, fx in zip(X.op, img):
+        Yrow = Y.op[fx]
+        for y in range(X.order):
+            if img[row[y]] != Yrow[img[y]]:
                 return False
     return True
 
@@ -246,7 +252,7 @@ def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
+def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     """All quandle homomorphisms X -> Y, sorted by image vector.
 
     One search serves every pair: ``_backtrack`` with closure
@@ -290,12 +296,23 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> list[QuandleMap]:
             done += 1
         return True
 
-    return [QuandleMap(n, m, image) for image in _backtrack(n, m, propagate)]
+    return Homs(X, Y, (QuandleMap(n, m, image) for image in _backtrack(n, m, propagate)))
 
 
-def enumerate_autos(X: FiniteQuandle) -> list[QuandleMap]:
+def enumerate_autos(X: FiniteQuandle) -> Homs:
     """All quandle automorphisms of X (bijective endomorphisms)."""
-    return [f for f in enumerate_homs(X, X) if f.is_bijection()]
+    return Homs(X, X, (f for f in enumerate_homs(X, X) if f.is_bijection()))
+
+
+def affine_endos(X: FiniteQuandle, pairs: Iterable[tuple[int, int]]) -> Homs:
+    """The maps f(x) = a*x + b of the dihedral quandle X, one per pair (a, b).
+    All are endomorphisms: f(x*y) = a(2y - x) + b = 2f(y) - f(x) = f(x)*f(y)."""
+    if not X.is_dihedral:
+        raise InvalidParameterError(
+            "explicit a,b endomorphism lists require a dihedral quandle")
+    n = X.order
+    return Homs(X, X, (QuandleMap(n, n, tuple((a % n * x + b) % n for x in range(n)))
+                       for a, b in pairs))
 
 
 def identity_map(X: FiniteQuandle) -> QuandleMap:

@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 from .cocycle import Cocycle3, weight_sum
 from .coloring import Coloring, enumerate_colorings, extend_shadow
 from .diagram import Diagram
-from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, is_homomorphism
+from .quandle import FiniteQuandle, Homs, InvalidParameterError, QuandleMap, is_homomorphism
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ class Polynomial2:
 
 
 def _check_endos(X: FiniteQuandle, endos: Sequence[QuandleMap]) -> tuple[QuandleMap, ...]:
-    """Check every map exhaustively; the one check on a caller's maps.
-
-    ``coloring_quiver`` relies on it: f o c is a coloring for every
-    coloring c only when f is an endomorphism, and only then is the
-    projection lookup of f o c sure to find it.
-    """
+    """The maps as a tuple: ``Homs`` proved for X -> X as they are, any other
+    sequence (a slice of ``Homs`` is a plain tuple) checked exhaustively, once per
+    call.  f o c is a coloring for every coloring c only when f is an endomorphism,
+    and only then is the projection lookup of f o c in ``coloring_quiver`` sure to find it."""
+    if isinstance(endos, Homs) and endos.source == X == endos.target:
+        return endos
     for f in endos:
         if not is_homomorphism(f, X, X):
             raise InvalidParameterError(f"{f!r} is not an endomorphism of {X!r}")
@@ -136,8 +136,8 @@ def coloring_quiver(
     determining arcs, on which the colorings project injectively: the
     values on those arcs are read as one integer in radix |X|, and for
     each f the codes of all targets are computed arc by arc through
-    ``f.image`` and looked up.  Since ``_check_endos`` has made sure
-    f o c is a coloring, its code names it.
+    ``f.image`` and looked up.  Each f is proved an endomorphism where its
+    ``Homs`` was made or in ``_check_endos``, so f o c is a coloring, named by its code.
     """
     S = _check_endos(X, endos)
     vertices = tuple(enumerate_colorings(d, X))

@@ -18,6 +18,7 @@ from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
 from quiverknot.quandle import make_dihedral, table_text
 from quiverknot.quiver import coloring_quiver, quiver_to_json, shadow_cocycle_quiver, to_dot
+from test_quiver import count_endo_checks
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +507,36 @@ def test_cli_undecodable_catalog_is_data_error(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: catalog file") and "not valid UTF-8" in err
+
+
+def test_cli_undecodable_table_is_data_error(capsys, tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe3")
+    code, out, err = run_cli(capsys, "colorings", "--knot", "4_1",
+                             "--quandle", f"table:{path}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: quandle table {str(path)!r} is not valid UTF-8")
+    code, out, err = run_cli(capsys, "colorings", "--knot", "4_1",
+                             "--quandle", "table:nul\0path")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad quandle spec")
+
+
+@pytest.mark.parametrize("endos", ["all", "auto", "1,2;2,0"])
+def test_cli_checks_no_endomorphism_after_it_is_made(capsys, monkeypatch, catalog, endos):
+    checked = count_endo_checks(monkeypatch)
+    for argv in (["quiver", "--knot", "4_1"], ["shadow", "--knot", "4_1"],
+                 ["compare", "4_1", "5_1"], ["compare", "4_1", "5_1", "--weighted"]):
+        code, out, err = run_cli(capsys, *argv, "--quandle", "dihedral:5", "--endos", endos)
+        assert (code, err) == (0, ""), argv
+    assert checked == []
+    # The patch is live: the same maps as a plain list are checked.
+    X = make_dihedral(5)
+    S = list(parse_endo_spec(endos, X))
+    coloring_quiver(catalog.diagram("4_1"), X, S)
+    assert checked == S
 
 
 def test_cli_text_format(capsys):

@@ -106,6 +106,14 @@ def test_torus_knot_enumeration_matches_snf_count():
             assert len(enumerate_colorings(d, make_dihedral(n))) == count_colorings_dihedral(d, n)
 
 
+def test_torus_knot_elementary_divisors():
+    # The coloring matrix of T(2,k) is k x k with Smith form diag(1, ..., 1, k, 0):
+    # k - 2 unit divisors, the determinant k, and the zero of the constant colorings.
+    for k in range(3, 62, 2):
+        m = coloring_matrix(build_diagram(parse_pd(torus_pd(k))))
+        assert m.elementary_divisors == (1,) * (k - 2) + (k, 0), k
+
+
 def test_large_torus_knots_enumerate():
     R3 = make_dihedral(3)
     for k in (101, 1001):

@@ -1,14 +1,18 @@
 """Quandle construction, axioms and homomorphism enumeration."""
 
+import copy
 import math
+import pickle
 from itertools import product
 
 import pytest
 
 from quiverknot.quandle import (
+    Homs,
     InvalidParameterError,
     QuandleAxiomError,
     QuandleMap,
+    affine_endos,
     compose,
     constant_map,
     enumerate_autos,
@@ -174,6 +178,37 @@ def test_affine_form_unique_for_all_endos():
                          for a in range(n) for b in range(n)})
         assert len(affine) == n * n
         assert [f.image for f in enumerate_homs(Rn, Rn)] == affine
+
+
+def test_affine_endos_are_all_of_end_in_pair_order():
+    for n in (1, 2, 5, 9, 12):
+        Rn = make_dihedral(n)
+        pairs = [(a, b) for a in range(-n, n) for b in range(n)]
+        endos = affine_endos(Rn, iter(pairs))
+        assert [f.image for f in endos] == [
+            tuple((a * x + b) % n for x in range(n)) for a, b in pairs]
+        assert set(endos) == set(enumerate_homs(Rn, Rn))
+        assert (endos.source, endos.target) == (Rn, Rn)
+    a, b = 10**400 + 3, -(10**400)
+    assert affine_endos(make_dihedral(7), [(a, b)])[0].image == tuple(
+        (a * x + b) % 7 for x in range(7))
+
+
+def test_affine_endos_need_a_dihedral_quandle():
+    for X in (make_alexander(5, 2), from_table(make_dihedral(5).op)):
+        with pytest.raises(InvalidParameterError):
+            affine_endos(X, [(1, 0)])
+
+
+def test_proved_sets_are_tuples_that_name_their_quandles():
+    R5, A5 = make_dihedral(5), make_alexander(5, 2)
+    sets = [enumerate_homs(R5, A5), enumerate_autos(R5), affine_endos(R5, [(1, 2), (2, 0)])]
+    for S, source, target in zip(sets, (R5, R5, R5), (A5, R5, R5)):
+        assert type(S) is Homs and (S.source, S.target) == (source, target)
+        assert type(S[1:]) is tuple and S == tuple(S)
+        for clone in (copy.copy(S), copy.deepcopy(S), pickle.loads(pickle.dumps(S))):
+            assert type(clone) is Homs and clone == S
+            assert (clone.source, clone.target) == (source, target)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

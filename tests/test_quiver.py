@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import quiverknot.quiver
 from quiverknot.catalog import load_catalog
 from quiverknot.cli import parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import invariant_multiset, mochizuki
@@ -21,6 +22,7 @@ from quiverknot.quandle import (
     enumerate_homs,
     from_table,
     identity_map,
+    is_homomorphism,
     make_alexander,
     make_dihedral,
 )
@@ -158,6 +160,60 @@ def test_rejects_non_endomorphism(catalog):
     not_hom = QuandleMap(5, 5, (0, 0, 1, 2, 3))
     with pytest.raises(InvalidParameterError):
         coloring_quiver(catalog.diagram("3_1"), R5, [not_hom])
+
+
+def count_endo_checks(monkeypatch) -> list:
+    """Record every map the quiver builders check, by patching the
+    ``is_homomorphism`` that ``quiverknot.quiver`` calls."""
+    checked = []
+
+    def counted(f, X, Y):
+        checked.append(f)
+        return is_homomorphism(f, X, Y)
+
+    monkeypatch.setattr(quiverknot.quiver, "is_homomorphism", counted)
+    return checked
+
+
+def test_proof_is_taken_for_an_equal_quandle(catalog, monkeypatch):
+    checked = count_endo_checks(monkeypatch)
+    R5 = make_dihedral(5)
+    q = coloring_quiver(catalog.diagram("4_1"), make_dihedral(5), enumerate_homs(R5, R5))
+    assert (q.n_edges, checked) == (625, [])
+
+
+def test_proof_for_another_quandle_is_checked(catalog, monkeypatch):
+    d = catalog.diagram("4_1")
+    A9, R9 = make_alexander(9, 4), make_dihedral(9)
+    end_a9 = enumerate_homs(A9, A9)
+    assert len(end_a9) == 243
+    assert sum(not is_homomorphism(f, R9, R9) for f in end_a9) == 162
+    with pytest.raises(InvalidParameterError):
+        coloring_quiver(d, R9, end_a9)
+    # Hom(R_5, alexander:5:4) holds the same maps as End(R_5), but its
+    # target is another quandle, so it is checked, and passes.
+    R5 = make_dihedral(5)
+    homs = enumerate_homs(R5, make_alexander(5, 4))
+    checked = count_endo_checks(monkeypatch)
+    assert coloring_quiver(d, R5, homs).targets == coloring_quiver(
+        d, R5, enumerate_homs(R5, R5)).targets
+    assert checked == list(homs)
+
+
+def test_plain_sequences_are_checked_once_per_call(catalog, monkeypatch):
+    d, R5 = catalog.diagram("4_1"), make_dihedral(5)
+    sliced = enumerate_homs(R5, R5)[1::3]
+    assert type(sliced) is tuple
+    checked = count_endo_checks(monkeypatch)
+    coloring_quiver(d, R5, sliced)
+    assert checked == list(sliced)
+    plain = list(enumerate_autos(R5))
+    for calls in (1, 2):
+        coloring_quiver(d, R5, plain)
+        assert checked == list(sliced) + plain * calls
+    del checked[:]
+    shadow_cocycle_quiver(d, R5, plain, 0, mochizuki(5))
+    assert checked == plain
 
 
 def test_shadow_quiver_matches_coloring_quiver(catalog):
