@@ -49,6 +49,7 @@ from .quandle import (
     Homs,
     InvalidParameterError,
     affine_endos,
+    check_order,
     enumerate_autos,
     enumerate_homs,
     make_alexander,
@@ -77,7 +78,24 @@ class QuandleDataError(ValueError):
     """Table file content failed validation (exit code 3)."""
 
 
+def _dihedral_order(spec: str) -> Optional[int]:
+    """The checked n of a ``dihedral:n`` spec, or None for any other spec;
+    the dihedral ``--count`` path needs n only, not R_n's table."""
+    parts = spec.split(":")
+    if parts[0] != "dihedral" or len(parts) != 2:
+        return None
+    try:
+        n = int(parts[1])
+        check_order(n)
+    except ValueError as exc:
+        raise UsageError(f"bad quandle spec {spec!r}: {exc}") from None
+    return n
+
+
 def parse_quandle_spec(spec: str) -> FiniteQuandle:
+    n = _dihedral_order(spec)
+    if n is not None:
+        return make_dihedral(n)
     kind, colon, path = spec.partition(":")
     if kind == "table" and colon:
         try:
@@ -96,8 +114,6 @@ def parse_quandle_spec(spec: str) -> FiniteQuandle:
             raise QuandleDataError(f"bad quandle table {path!r}: {exc}") from None
     parts = spec.split(":")
     try:
-        if parts[0] == "dihedral" and len(parts) == 2:
-            return make_dihedral(int(parts[1]))
         if parts[0] == "alexander" and len(parts) == 3:
             return make_alexander(int(parts[1]), int(parts[2]))
     except ValueError as exc:
@@ -161,14 +177,14 @@ def _emit(result: dict, fmt: str, text_lines: list[str], started: float,
 
 def cmd_colorings(args, catalog: Catalog, started: float) -> int:
     d = resolve_knot(args.knot, catalog)
-    X = parse_quandle_spec(args.quandle)
     list_mode = args.list
+    n = None if list_mode else _dihedral_order(args.quandle)
     outputs: dict = {}
-    if X.is_dihedral and not list_mode:
-        outputs["count"] = count_colorings_dihedral(d, X.order)
+    if n is not None:
+        outputs["count"] = count_colorings_dihedral(d, n)
         outputs["method"] = "snf"
     else:
-        cols = enumerate_colorings(d, X)
+        cols = enumerate_colorings(d, parse_quandle_spec(args.quandle))
         outputs["count"] = len(cols)
         outputs["method"] = "enumeration"
         if list_mode:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import Diagram
-from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack
+from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack, check_order
 from .snf import smith_normal_form, solution_count_mod
 
 
@@ -159,9 +159,11 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     with its under-in and over arcs known forces the under-out arc via
     ``op``, and with under-out and over known forces under-in via
     ``inv_op``.  The trail is the queue: each newly assigned arc visits
-    the crossings it touches.  The driver's output is lexicographic in
-    the relabelled order only, so the colorings are mapped back and
-    sorted.
+    the crossings it touches.  When x -> x+1 is an automorphism of X,
+    c -> (arc -> c(arc) + 1) maps colorings to colorings, so the search
+    runs for one value of the first arc and ``_backtrack`` adds the
+    translates.  The driver's output is lexicographic in the relabelled
+    order only, so the colorings are mapped back and sorted.
     """
     rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
     touching: list[list[int]] = [[] for _ in range(d.n_arcs)]
@@ -198,7 +200,7 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
             done += 1
         return True
 
-    found = _backtrack(d.n_arcs, X.order, propagate)
+    found = _backtrack(d.n_arcs, X.order, propagate, X.translation_is_auto)
     return [Coloring(v) for v in sorted(tuple(s[p] for p in pos) for s in found)]
 
 
@@ -217,8 +219,7 @@ def coloring_matrix(d: Diagram) -> ColoringMatrix:
 
 def count_colorings_dihedral(d: Diagram, n: int) -> int:
     """|Col_{R_n}(D)| via the Smith normal form of the coloring matrix."""
-    if n < 1:
-        raise InvalidParameterError(f"order must be >= 1, got {n}")
+    check_order(n)
     mat = coloring_matrix(d)
     return solution_count_mod(mat.elementary_divisors, mat.n_arcs, n)
 

@@ -13,6 +13,7 @@ checked exhaustively.  The dihedral quandle of order n is Z_n with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -60,6 +61,21 @@ class FiniteQuandle:
     def is_dihedral(self) -> bool:
         return self.kind[0] == "dihedral"
 
+    @functools.cached_property
+    def translation_is_auto(self) -> bool:
+        """Whether the translation x -> x+1 (mod n) is an automorphism.
+
+        For the dihedral and Alexander formulas it is, since
+        (x+1)*(y+1) = t(x+1) + (1-t)(y+1) = x*y + 1; the test suite proves
+        that on the tables.  A table is checked exhaustively, once per
+        object.
+        """
+        if self.kind[0] in ("dihedral", "alexander"):
+            return True
+        n = self.order
+        shift = QuandleMap(n, n, tuple(range(1, n)) + (0,))
+        return is_homomorphism(shift, self, self)
+
     def __repr__(self) -> str:
         return f"FiniteQuandle({'/'.join(map(str, self.kind))}, order={self.order})"
 
@@ -69,10 +85,15 @@ def _alexander_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((t * x + (1 - t) * y) % n for y in range(n)) for x in range(n))
 
 
-def make_dihedral(n: int) -> FiniteQuandle:
-    """The dihedral quandle R_n: Z_n with x*y = 2y - x (so inv_op == op)."""
+def check_order(n: int) -> None:
+    """Reject an order below 1 for the formula quandles."""
     if n < 1:
         raise InvalidParameterError(f"order must be >= 1, got {n}")
+
+
+def make_dihedral(n: int) -> FiniteQuandle:
+    """The dihedral quandle R_n: Z_n with x*y = 2y - x (so inv_op == op)."""
+    check_order(n)
     op = _alexander_table(n, -1)
     return FiniteQuandle(n, op, op, kind=("dihedral", n))
 
@@ -85,8 +106,7 @@ def make_alexander(n: int, t: int) -> FiniteQuandle:
     x*y == z exactly when x = t^-1*z + (1 - t^-1)*y, so the inverse table
     is the Alexander table of t^-1.
     """
-    if n < 1:
-        raise InvalidParameterError(f"order must be >= 1, got {n}")
+    check_order(n)
     if math.gcd(t, n) != 1:
         raise InvalidParameterError(f"t={t} is not a unit mod {n}")
     t %= n
@@ -202,7 +222,8 @@ def is_homomorphism(f: QuandleMap, X: FiniteQuandle, Y: FiniteQuandle) -> bool:
     return True
 
 
-def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
+def _backtrack(n_vars: int, n_values: int, propagate,
+               translated: bool = False) -> list[tuple[int, ...]]:
     """Every complete assignment of values 0..n_values-1 to variables
     0..n_vars-1 (n_vars >= 1) that ``propagate`` accepts, in ascending
     lexicographic order.
@@ -222,10 +243,22 @@ def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
     ascending order, so the leaves come out in lexicographic order.
     That order is the driver's own variable order: a caller that numbers
     its variables differently and maps the solutions back must sort them.
+
+    ``translated`` is the caller's promise that the solution set is
+    closed under the translation s -> s + 1 (every value plus 1 mod
+    n_values).  The search then branches variable 0 on the value 0 only,
+    and each solution found is emitted with all its translates.  That is
+    exact: s -> s + b changes variable 0 by b, so the n_values translates
+    of a solution are distinct, and each solution s is the translate by
+    s[0] of exactly one solution with variable 0 equal to 0, which the
+    search finds.  The translates by b are the solutions with variable 0
+    equal to b, so emitting them by ascending b, each group sorted, keeps
+    the lexicographic order.
     """
     img = [-1] * n_vars
     trail: list[int] = []
     out: list[tuple[int, ...]] = []
+    roots = 1 if translated else n_values  # values tried for variable 0
     # A frame is [branch variable, next value to try, trail length before it].
     stack = [[0, 0, 0]]
     while stack:
@@ -234,7 +267,7 @@ def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
         for t in trail[mark:]:
             img[t] = -1
         del trail[mark:]
-        if v == n_values:
+        if v == (n_values if x else roots):
             stack.pop()
             continue
         frame[1] = v + 1
@@ -249,14 +282,23 @@ def _backtrack(n_vars: int, n_values: int, propagate) -> list[tuple[int, ...]]:
             out.append(tuple(img))
         else:
             stack.append([nxt, 0, len(trail)])
-    return out
+    if not translated:
+        return out
+    translates = list(out)
+    for b in range(1, n_values):
+        plus_b = [(v + b) % n_values for v in range(n_values)].__getitem__
+        translates += sorted(tuple(map(plus_b, s)) for s in out)
+    return translates
 
 
 def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     """All quandle homomorphisms X -> Y, sorted by image vector.
 
-    One search serves every pair: ``_backtrack`` with closure
-    propagation.  Assigned elements are closed under ``*``: once x and y
+    ``_backtrack`` with closure propagation.  When x -> x+1 is an
+    automorphism of Y, f -> (x -> f(x) + 1) maps homomorphisms to
+    homomorphisms, so the search runs for f(0) = 0 only and
+    ``_backtrack`` adds the translates.  Otherwise one search serves
+    every f(0).  Assigned elements are closed under ``*``: once x and y
     have images, x*y is forced to f(x)*f(y), or checked against the
     image it already has.  The trail doubles as the propagation queue;
     an element is paired with every element before it when its turn
@@ -265,7 +307,7 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     check: they hold by Q1 in X and in Y, by the formula for dihedral and
     Alexander quandles and by ``from_table``'s check for tables.
 
-    For End(R_n) it branches on f(0) and f(1) only: f(k+1) = 2f(k) -
+    For End(R_n) it branches on f(1) only, f(0) being 0: f(k+1) = 2f(k) -
     f(k-1) forces the rest, so the result is the n^2 affine maps
     f(x) = a*x + b.
     """
@@ -296,7 +338,8 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
             done += 1
         return True
 
-    return Homs(X, Y, (QuandleMap(n, m, image) for image in _backtrack(n, m, propagate)))
+    images = _backtrack(n, m, propagate, Y.translation_is_auto)
+    return Homs(X, Y, (QuandleMap(n, m, image) for image in images))
 
 
 def enumerate_autos(X: FiniteQuandle) -> Homs:

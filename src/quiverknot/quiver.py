@@ -8,6 +8,11 @@ sum of its unique shadow extension for a fixed base label; summing
 ``s^weight(v) t^weight(w)`` over all edges (v, w) gives the quiver
 polynomial.
 
+The quiver is stored as a target table, one row per f in S.  When the
+translation x -> x+1 is in S, most rows are composed from its row and
+the row of a predecessor (``coloring_quiver``) instead of being looked
+up vertex by vertex.
+
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
 match.  It is decided by joint color refinement followed by an
@@ -127,33 +132,57 @@ def _determining_arcs(vertices: Sequence[Coloring]) -> list[int]:
     return arcs
 
 
+def _codes(columns: Sequence[Sequence[int]], n_vertices: int, order: int,
+           image: Sequence[int]) -> list[int]:
+    """The code of f o c for every vertex c, where f has this image: its
+    values on the determining arcs, ``columns``, read in radix ``order``."""
+    out = [0] * n_vertices
+    for k, col in enumerate(columns):
+        w = order**k
+        scaled = [y * w for y in image]
+        out = list(map(add, out, map(scaled.__getitem__, col)))
+    return out
+
+
 def coloring_quiver(
     d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap]
 ) -> WeightedQuiver:
     """The coloring quiver of D over X with edge set S = endos.
 
-    The target f o c of each edge is found by its values on a few
-    determining arcs, on which the colorings project injectively: the
-    values on those arcs are read as one integer in radix |X|, and for
-    each f the codes of all targets are computed arc by arc through
-    ``f.image`` and looked up.  Each f is proved an endomorphism where its
-    ``Homs`` was made or in ``_check_endos``, so f o c is a coloring, named by its code.
+    A row of targets is built directly from the determining arcs, on
+    which the colorings project injectively: the values on those arcs
+    are read as one integer in radix |X| (``_codes``), and the codes of
+    all f o c are computed arc by arc through ``f.image`` and looked up.
+    Each f is proved an endomorphism where its ``Homs`` was made or in
+    ``_check_endos``, so f o c is a coloring, named by its code.
+
+    When the translation t(x) = x+1 is in S, row(t) is built directly
+    and the other maps are taken by ascending f(0): f's row is
+    row(t)[row(g)] when g = t^-1 o f, found by its image, already has a
+    row, since targets[t o g][v] = targets[t][targets[g][v]] for any two
+    maps in S.  Every other row is built directly; maps with equal
+    images share one row.
     """
     S = _check_endos(X, endos)
     vertices = tuple(enumerate_colorings(d, X))
+    n = X.order
     columns = [[c.values[arc] for c in vertices] for arc in _determining_arcs(vertices)]
+    index = {code: vi for vi, code in enumerate(_codes(columns, len(vertices), n, range(n)))}
 
-    def codes(image: Sequence[int]) -> list[int]:
-        """The code of f o c for every vertex c, where f has this image."""
-        out = [0] * len(vertices)
-        for k, col in enumerate(columns):
-            w = X.order**k
-            scaled = [y * w for y in image]
-            out = list(map(add, out, map(scaled.__getitem__, col)))
-        return out
+    def direct(image: Sequence[int]) -> tuple[int, ...]:
+        return tuple(map(index.__getitem__, _codes(columns, len(vertices), n, image)))
 
-    index = {code: vi for vi, code in enumerate(codes(range(X.order)))}
-    targets = tuple(tuple(map(index.__getitem__, codes(f.image))) for f in S)
+    shift = tuple(range(1, n)) + (0,)
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    row_t = None
+    if any(f.image == shift for f in S):
+        minus_1 = [(y - 1) % n for y in range(n)].__getitem__
+        row_t = rows[shift] = direct(shift)
+    for f in sorted(S, key=lambda f: f.image[0]):
+        if f.image not in rows:
+            g = None if row_t is None else rows.get(tuple(map(minus_1, f.image)))
+            rows[f.image] = direct(f.image) if g is None else tuple(map(row_t.__getitem__, g))
+    targets = tuple(rows[f.image] for f in S)
     return WeightedQuiver(vertices, targets, S)
 
 

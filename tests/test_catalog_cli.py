@@ -589,3 +589,28 @@ def test_cli_counts_over_a_large_dihedral_quandle(capsys):
     blob = run_json(capsys, "colorings", "--knot", "4_1", "--quandle",
                     "dihedral:1001", "--count")
     assert blob["outputs"] == {"count": 1001, "method": "snf"}
+
+
+def test_cli_dihedral_count_reads_only_the_order(capsys, monkeypatch, tmp_path):
+    # The SNF count needs n alone, so no R_n table is built on that path;
+    # exit codes, output and errors are those of the path that built it.
+    def no_table(n):
+        raise AssertionError(f"built the table of R_{n}")
+
+    monkeypatch.setattr(quiverknot.cli, "make_dihedral", no_table)
+    path = tmp_path / "r5.txt"
+    path.write_text(table_text(make_dihedral(5)))
+    bad = "error: bad quandle spec {!r}: {}\n"
+    cases = [
+        ("dihedral:0", 2, "", bad.format("dihedral:0", "order must be >= 1, got 0")),
+        ("dihedral:-3", 2, "", bad.format("dihedral:-3", "order must be >= 1, got -3")),
+        ("dihedral:x", 2, "", bad.format(
+            "dihedral:x", "invalid literal for int() with base 10: 'x'")),
+        ("dihedral:1001", 0, '"outputs": {"count": 7007, "method": "snf"}', ""),
+        (f"table:{path}", 0, '"outputs": {"count": 5, "method": "enumeration"}', ""),
+    ]
+    for spec, code, outputs, err in cases:
+        got = run_cli(capsys, "colorings", "--knot", "5_2", "--quandle", spec, "--count")
+        out = ('{"command": "colorings", "parameters": {"knot": "5_2", "quandle": '
+               + json.dumps(spec) + ', "mode": "count"}, ' + outputs + "}\n") if outputs else ""
+        assert (got[0], TIMING.sub("", got[1]), got[2]) == (code, out, err), spec

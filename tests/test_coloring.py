@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+import quiverknot.coloring
 from quiverknot.catalog import load_catalog
 from quiverknot.coloring import (
     Coloring,
@@ -28,7 +29,7 @@ from quiverknot.quandle import (
 )
 from quiverknot.snf import smith_normal_form, solution_count_mod
 from pd_generators import relabel_pd, torus_pd, trefoil_sum_pd
-from test_quandle import Q3_ROWS, tetrahedral
+from test_quandle import Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -139,6 +140,38 @@ def test_enumeration_independent_of_arc_labelling(catalog):
                 got = sorted(tuple(c.values[a] for a in arc_perm)
                              for c in enumerate_colorings(e, X))
                 assert got == want, (name, text, X.order)
+
+
+def test_orbit_search_matches_full_search(catalog, monkeypatch):
+    # Same colorings in the same order, over quandles whose translation
+    # x -> x+1 is an automorphism, on catalog, relabelled and T(2,k) diagrams.
+    rng = random.Random(13)
+    quandles = [make_dihedral(n) for n in range(2, 14)] + [make_alexander(27, 2)]
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    for name in catalog.names():
+        if catalog.diagram(name).n_crossings:
+            text, _ = relabel_pd(parse_pd(catalog.entries[name].pd).crossings, rng)
+            diagrams.append(build_diagram(parse_pd(text)))
+    diagrams += [build_diagram(parse_pd(torus_pd(k))) for k in (3, 5, 9, 21, 45)]
+    flags = spy_backtrack(monkeypatch, quiverknot.coloring, full=False)
+    orbit = [[enumerate_colorings(d, X) for X in quandles] for d in diagrams]
+    assert flags == [True] * len(diagrams) * len(quandles)
+    spy_backtrack(monkeypatch, quiverknot.coloring, full=True)
+    for d, per_quandle in zip(diagrams, orbit):
+        for X, cols in zip(quandles, per_quandle):
+            assert cols == enumerate_colorings(d, X), (d.pd, X)
+
+
+def test_a_table_without_the_translation_colors_by_full_search(catalog, monkeypatch):
+    X = swapped_r5()
+    flags = spy_backtrack(monkeypatch, quiverknot.coloring, full=False)
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    diagrams = [d for d in diagrams if X.order ** d.n_arcs <= 20_000]
+    assert len(diagrams) >= 4
+    for d in diagrams:
+        got = [c.values for c in enumerate_colorings(d, X)]
+        assert got == sorted(brute_force_colorings(d, X)), d.pd
+    assert flags == [False] * len(diagrams)
 
 
 def naive_branch_order(rels, n_arcs):

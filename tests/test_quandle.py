@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import quiverknot.quandle
 from quiverknot.quandle import (
     Homs,
     InvalidParameterError,
@@ -396,3 +397,116 @@ def test_is_homomorphism_rejects_wrong_shapes():
     assert not is_homomorphism(QuandleMap(3, 3, (0, 0, 1)), R3, R3)
     assert not is_homomorphism(QuandleMap(3, 3, (0, 1, 3)), R3, R3)
     assert not is_homomorphism(QuandleMap(3, 3, (0, -2, -1)), R3, R3)
+
+
+REAL_BACKTRACK = quiverknot.quandle._backtrack
+
+
+def spy_backtrack(monkeypatch, module, full: bool) -> list:
+    """Patch the ``_backtrack`` that ``module`` calls: record each call's
+    ``translated`` argument and, with ``full``, run the full search
+    whatever the caller promised."""
+    flags = []
+
+    def patched(n_vars, n_values, propagate, translated=False):
+        flags.append(translated)
+        return REAL_BACKTRACK(n_vars, n_values, propagate, translated and not full)
+
+    monkeypatch.setattr(module, "_backtrack", patched)
+    return flags
+
+
+def swapped_r5():
+    """R_5 relabelled by swapping 0 and 1: x -> x+1 is no automorphism."""
+    sigma = (1, 0, 2, 3, 4)
+    rows = [[0] * 5 for _ in range(5)]
+    for x, row in enumerate(make_dihedral(5).op):
+        for y, z in enumerate(row):
+            rows[sigma[x]][sigma[y]] = sigma[z]
+    return from_table(rows)
+
+
+ALEXANDER_UNITS = [(5, 2), (5, 3), (7, 3), (9, 2), (9, 4), (10, 3), (12, 5), (27, 2)]
+
+
+def test_translation_is_an_automorphism_of_the_formula_quandles():
+    # (x+1)*(y+1) = x*y + 1 on every table the dihedral and Alexander
+    # formulas build, so the flag they report without a check is true.
+    quandles = [make_dihedral(n) for n in range(1, 28)]
+    quandles += [make_alexander(n, t) for n, t in ALEXANDER_UNITS]
+    for X in quandles:
+        n = X.order
+        assert X.translation_is_auto, X
+        for x, y in product(range(n), repeat=2):
+            assert X.op[(x + 1) % n][(y + 1) % n] == (X.op[x][y] + 1) % n, (X, x, y)
+
+
+def test_translation_flag_of_tables():
+    assert not swapped_r5().translation_is_auto
+    assert not from_table(Q3_ROWS).translation_is_auto
+    assert from_table([[x] * 3 for x in range(3)]).translation_is_auto
+    assert from_table([[0]]).translation_is_auto
+    assert from_table(make_dihedral(6).op).translation_is_auto
+    assert from_table(make_alexander(9, 2).op).translation_is_auto
+
+
+def test_table_translation_check_runs_once_per_object(monkeypatch):
+    checked = []
+
+    def counted(f, X, Y):
+        checked.append(X)
+        return is_homomorphism(f, X, Y)
+
+    monkeypatch.setattr(quiverknot.quandle, "is_homomorphism", counted)
+    R5, A5, X = make_dihedral(5), make_alexander(5, 2), swapped_r5()
+    for _ in range(3):
+        enumerate_homs(X, X)
+        enumerate_homs(R5, X)
+        enumerate_homs(R5, A5)
+    assert checked == [X]
+    twin = swapped_r5()
+    enumerate_autos(twin)
+    enumerate_homs(R5, twin)
+    assert checked == [X, twin]
+
+
+def test_a_table_without_the_translation_takes_the_full_search(monkeypatch):
+    X, R3 = swapped_r5(), make_dihedral(3)
+    flags = spy_backtrack(monkeypatch, quiverknot.quandle, full=False)
+    for source, target in ((X, X), (R3, X), (X, R3)):
+        homs = enumerate_homs(source, target)
+        assert [f.image for f in homs] == brute_force_homs(source.op, target.op)
+    assert flags == [False, False, True]
+
+
+ORBIT_HOM_CASES = [(make_dihedral(n), make_dihedral(n)) for n in range(1, 28)] + [
+    (make_alexander(9, 2), make_alexander(9, 2)),
+    (make_alexander(27, 2), make_alexander(27, 2)),
+    (make_dihedral(2), make_dihedral(3)),
+    (make_dihedral(3), make_dihedral(2)),
+    (make_dihedral(3), make_dihedral(9)),
+    (make_dihedral(9), make_dihedral(3)),
+    (make_dihedral(4), make_dihedral(6)),
+    (make_dihedral(6), make_dihedral(4)),
+    (make_dihedral(1), make_dihedral(5)),
+    (make_dihedral(5), make_alexander(5, 2)),
+    (make_alexander(9, 2), make_dihedral(3)),
+    (make_dihedral(9), make_alexander(9, 4)),
+    (from_table(Q3_ROWS), make_dihedral(4)),
+    (tetrahedral(), make_dihedral(5)),
+    (from_table(make_dihedral(8).op), from_table(make_dihedral(8).op)),
+    (from_table([[x] * 3 for x in range(3)]), make_dihedral(6)),
+]
+
+
+def test_orbit_search_matches_full_search(monkeypatch):
+    # Same maps in the same order, with x -> x+1 an automorphism of every target.
+    flags = spy_backtrack(monkeypatch, quiverknot.quandle, full=False)
+    orbit = [enumerate_homs(X, Y) for X, Y in ORBIT_HOM_CASES]
+    assert flags == [True] * len(ORBIT_HOM_CASES)
+    spy_backtrack(monkeypatch, quiverknot.quandle, full=True)
+    for (X, Y), homs in zip(ORBIT_HOM_CASES, orbit):
+        full = enumerate_homs(X, Y)
+        assert type(homs) is Homs and (homs.source, homs.target) == (X, Y)
+        assert homs == full, (X, Y)
+    assert [len(h) for h in orbit[:27]] == [n * n for n in range(1, 28)]

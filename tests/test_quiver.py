@@ -100,17 +100,32 @@ def naive_edges(d, X, S):
     )
 
 
+def shift(n):
+    return QuandleMap(n, n, tuple((x + 1) % n for x in range(n)))
+
+
 def endo_sets(X):
-    """End(X), Aut(X), an explicit list and the empty list."""
+    """End(X), Aut(X), an explicit list, the empty list, and lists that
+    hold x -> x+1 with and without the predecessor t^-1 o f of each map
+    f, some with repeated maps."""
+    homs = enumerate_homs(X, X)
     if X.is_dihedral:
         explicit = parse_endo_spec("1,0;2,1;0,3;5,2;1,1", X)
     else:
-        explicit = enumerate_homs(X, X)[1::3]
-    return {"all": enumerate_homs(X, X), "auto": enumerate_autos(X),
-            "explicit": explicit, "none": []}
+        explicit = homs[1::3]
+    t = shift(X.order)
+    # Each f listed here has an odd f(0); its predecessor, with the even
+    # f(0) - 1, is not listed.
+    odd = [f for f in homs if f.image[0] % 2 and f != t]
+    return {"all": homs, "auto": enumerate_autos(X), "explicit": explicit, "none": [],
+            "shift, predecessors": [*reversed(homs), t],
+            "shift, no predecessors": [t, *odd],
+            "shift, repeated": [t, t, *homs[::2], *homs[::2], t]}
 
 
 QUIVER_ORACLE_QUANDLES = {
+    "R1": make_dihedral(1),
+    "R2": make_dihedral(2),
     "R3": make_dihedral(3),
     "R5": make_dihedral(5),
     "R9": make_dihedral(9),
@@ -128,6 +143,30 @@ def test_edges_match_naive_construction(catalog, qname):
             q = coloring_quiver(d, X, S)
             assert q.edges == naive_edges(d, X, S), (knot, label)
             assert q.endos == tuple(S)
+
+
+def test_translation_builds_few_rows_directly(catalog, monkeypatch):
+    # With x -> x+1 in End(R_27), only its row and the rows of the 27 maps
+    # with f(0) = 0 are looked up code by code; the rest are composed.
+    R27, d = make_dihedral(27), catalog.diagram("8_10")
+    S = enumerate_homs(R27, R27)
+    real, looked_up = quiverknot.quiver._codes, []
+
+    def counted(columns, n_vertices, order, image):
+        looked_up.append(tuple(image))
+        return real(columns, n_vertices, order, image)
+
+    monkeypatch.setattr(quiverknot.quiver, "_codes", counted)
+    q = coloring_quiver(d, R27, S)
+    direct = looked_up[1:]  # the first call codes the vertices themselves
+    assert len(direct) <= 27 + 1
+    assert direct == [shift(27).image] + [f.image for f in S if f.image[0] == 0]
+    # Without the translation every row is built directly, to the same targets.
+    del looked_up[:]
+    rest = [f for f in S if f != shift(27)]
+    assert coloring_quiver(d, R27, rest).targets == tuple(
+        row for row, f in zip(q.targets, S) if f != shift(27))
+    assert len(looked_up) == 1 + len(rest)
 
 
 def test_determining_arcs_project_injectively(catalog):
