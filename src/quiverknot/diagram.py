@@ -6,7 +6,9 @@ numbered consecutively along each component, wrapping cyclically.  From
 that single convention the builder recovers:
 
 * the over-strand direction at each crossing (the over-out edge is the
-  cyclic successor of the over-in edge),
+  cyclic successor of the over-in edge; on a component of one or two
+  edges both readings are successors, and the component's other
+  passage, or +1 when that leaves a choice, decides),
 * the crossing sign (+1 when the over-strand crosses left to right as
   seen along the under-strand direction),
 * the faces of the underlying 4-valent plane graph, by following the
@@ -191,8 +193,7 @@ def pd_from_quadruples(quads: Sequence[tuple[int, int, int, int]]) -> PDCode:
     components = []
     for labels in groups.values():
         labels.sort()
-        lo, hi = labels[0], labels[-1]
-        if labels != list(range(lo, hi + 1)):
+        if labels[-1] - labels[0] + 1 != len(labels):
             raise StructuralError(
                 f"component labels {labels} are not consecutive integers"
             )
@@ -219,6 +220,20 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
     is not planar (face count differs from crossings + 2) or the
     orientation conventions cannot be satisfied, and
     UnsupportedDiagramError for disconnected diagrams.
+
+    Orientation is one pass.  Each edge gets one head (the slot where it
+    arrives) and one tail.  Under passages and the over passages whose
+    reading the numbering fixes are placed first; then each ambiguous over
+    passage, in crossing order, reads d -> b (sign +1) unless d already
+    has a head or b a tail, and b -> d (sign -1) otherwise.  Placing a
+    label twice in either role means no orientation exists.  This is the
+    first consistent sign vector with +1 preferred in crossing order: a
+    passage is ambiguous only when its strand's component has one or two
+    edges, whose labels appear at no other passage.  One edge: nothing
+    else constrains it and +1 fits.  Two edges: if the other passage is an
+    under passage, exactly one reading fits and the rule finds it; if it
+    is an over passage, both readings fit the first of the two, which
+    takes +1 and forces the second.  No constraint links two components.
     """
     quads = pd.crossings
     c = len(quads)
@@ -226,11 +241,10 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
         raise StructuralError("PD code with no crossings; use unknot_diagram()")
     nxt = _successor_map(pd)
 
-    # Possible signs per crossing.  Consecutive numbering usually pins
-    # the over direction; on a two-edge component both readings are
-    # cyclically consecutive and the head/tail consistency search below
-    # decides (positive preferred when both work).
-    options: list[tuple[int, ...]] = []
+    # Reading of each over strand from the numbering: +1 for d -> b, -1
+    # for b -> d, 0 when both are consecutive (a component of one or two
+    # edges).  Every crossing is checked before any edge is placed.
+    signs: list[int] = []
     for i, (a, b, cc, d) in enumerate(quads):
         if nxt[a] != cc:
             raise StructuralError(
@@ -238,75 +252,47 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
             )
         pos = nxt[d] == b
         neg = nxt[b] == d
-        if pos and neg:
-            options.append((1, -1))
-        elif pos:
-            options.append((1,))
-        elif neg:
-            options.append((-1,))
-        else:
+        if not (pos or neg):
             raise StructuralError(
                 f"crossing {i}: over-strand edges {b},{d} are not consecutive"
             )
+        signs.append(pos - neg)
 
     slots: dict[int, list[tuple[int, int]]] = {}
     for i, quad in enumerate(quads):
         for p, label in enumerate(quad):
             slots.setdefault(label, []).append((i, p))
 
-    # Assign each edge one head (arrival slot) and one tail; signs with
-    # more than one numbering-consistent reading are searched.
+    # One head (arrival slot) and one tail per edge: the fixed passages
+    # first, then the ambiguous ones in crossing order.
     head: dict[int, tuple[int, int]] = {}
     tail: dict[int, tuple[int, int]] = {}
-    signs = [0] * c
 
-    def placements(i: int, sign: int):
-        a, b, cc, d = quads[i]
-        ends = [(head, a, (i, 0)), (tail, cc, (i, 2))]
-        if sign > 0:
-            ends += [(head, d, (i, 3)), (tail, b, (i, 1))]
+    def place(store: dict, label: int, slot: tuple[int, int]) -> None:
+        if label in store:
+            raise StructuralError(
+                "no consistent strand orientation exists for this PD code"
+            )
+        store[label] = slot
+
+    def place_over(i: int) -> None:
+        _, b, _, d = quads[i]
+        if signs[i] > 0:
+            place(head, d, (i, 3))
+            place(tail, b, (i, 1))
         else:
-            ends += [(head, b, (i, 1)), (tail, d, (i, 3))]
-        return ends
+            place(head, b, (i, 1))
+            place(tail, d, (i, 3))
 
-    def unplace(pairs) -> None:
-        for store, label in pairs:
-            del store[label]
-
-    # Depth-first over crossings without recursion, trying each
-    # crossing's signs in order: placed[i] holds what crossing i placed,
-    # tried[i] how many of its signs have been tried.
-    placed: list[list] = []
-    tried = [0] * c
-    i = 0
-    while 0 <= i < c:
-        if tried[i] == len(options[i]):
-            tried[i] = 0
-            i -= 1
-            if i >= 0:
-                unplace(placed.pop())
-            continue
-        sign = options[i][tried[i]]
-        tried[i] += 1
-        done = []
-        for store, label, slot in placements(i, sign):
-            if label in store:
-                unplace(done)
-                break
-            store[label] = slot
-            done.append((store, label))
-        else:
-            signs[i] = sign
-            placed.append(done)
-            i += 1
-
-    if i < 0:
-        raise StructuralError(
-            "no consistent strand orientation exists for this PD code"
-        )
-    for label in slots:
-        if label not in head or label not in tail:
-            raise StructuralError(f"edge {label} lacks a consistent direction")
+    for i, (a, _, cc, _) in enumerate(quads):
+        place(head, a, (i, 0))
+        place(tail, cc, (i, 2))
+        if signs[i]:
+            place_over(i)
+    for i, (_, b, _, d) in enumerate(quads):
+        if not signs[i]:
+            signs[i] = -1 if d in head or b in tail else 1
+            place_over(i)
 
     # Dart involution: the two slots of each label are the ends of the edge.
     mate: dict[tuple[int, int], tuple[int, int]] = {}
@@ -366,16 +352,11 @@ def build_diagram(pd: PDCode, r_infinity_corner: Optional[tuple[int, int]] = Non
             key=lambda f: (len(region_corners[f]), -f),
         )
 
-    # Side incidence per directed edge; the head-side formulas must agree.
+    # Side incidence per directed edge, read at its tail.
     edge_sides: dict[int, tuple[int, int]] = {}
     for label in sorted(slots):
         tv, tp = tail[label]
-        hv, hp = head[label]
-        left = face_of_corner[(tv, tp)]
-        right = face_of_corner[(tv, (tp - 1) % 4)]
-        if left != face_of_corner[(hv, (hp - 1) % 4)] or right != face_of_corner[(hv, hp)]:
-            raise StructuralError(f"edge {label}: face tracing is inconsistent")
-        edge_sides[label] = (left, right)
+        edge_sides[label] = (face_of_corner[(tv, tp)], face_of_corner[(tv, (tp - 1) % 4)])
 
     # Arcs: merge the over edges at every crossing.
     aparent = {l: l for l in slots}

@@ -348,6 +348,15 @@ def test_cli_exit_codes(capsys):
     assert code == 3
 
 
+def test_cli_far_apart_labels_are_data_error(capsys):
+    # Consecutiveness is read from the extreme labels, so a huge gap
+    # builds no list of the labels in between.
+    code, out, err = run_cli(capsys, "colorings", "--knot",
+                             "X(1,1,1000000000000,1000000000000)", "--quandle", "dihedral:3")
+    assert (code, out) == (3, "")
+    assert "component labels [1, 1000000000000] are not consecutive integers" in err
+
+
 def test_cli_compare_reports_a_bad_knot_before_a_bad_quandle(capsys):
     # compare checks its inputs in the order quiver and shadow use
     code, out, err = run_cli(capsys, "compare", "4_1", "nosuch", "--quandle", "dihedral:0")

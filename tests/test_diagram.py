@@ -1,5 +1,8 @@
 """PD parsing, diagram building, faces, signs and incidence."""
 
+import random
+from itertools import product
+
 import pytest
 
 from quiverknot.catalog import load_catalog
@@ -13,9 +16,12 @@ from quiverknot.diagram import (
     parse_pd,
     unknot_diagram,
 )
-from pd_generators import torus_pd
+from pd_generators import meridian_chain_pd, torus_pd
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+KINKS = ("X(1,2,2,1)", "X(1,1,2,2)", "X(2,2,1,1)", "X(2,1,1,2)")
+HOPF_LINKS = ("X(4,1,3,2) X(2,3,1,4)", "X(1,3,2,4) X(3,1,4,2)",
+              "X(1,3,2,4) X(4,2,3,1)", "X(3,2,4,1) X(1,4,2,3)")
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +140,7 @@ def test_split_link_rejected():
 
 
 def test_kinks_build():
-    for text in ("X(1,2,2,1)", "X(1,1,2,2)", "X(2,2,1,1)", "X(2,1,1,2)"):
+    for text in KINKS:
         d = build_diagram(parse_pd(text))
         assert d.n_regions == 3
         assert d.n_arcs == 1
@@ -146,6 +152,74 @@ def test_torus_knot_with_1001_crossings_builds():
     assert d.n_arcs == 1001
     assert d.n_regions == 1003
     assert len({cr.sign for cr in d.crossings}) == 1
+
+
+def test_even_torus_links_build():
+    # T(2,2) is the Hopf link: both of its crossings are ambiguous.
+    for k in (2, 6):
+        d = build_diagram(parse_pd(torus_pd(k)))
+        assert len(d.pd.components) == 2
+        assert d.n_regions == k + 2
+        assert [cr.sign for cr in d.crossings] == [-1] * k
+
+
+def oracle_orientation(pd):
+    """Brute force: try every sign vector of the ambiguous crossings in
+    index order, +1 first, and keep the first under which every edge has
+    one head and one tail.  Returns (signs, tail slot per edge) or None."""
+    nxt = {}
+    for comp in pd.components:
+        for label in comp:
+            nxt[label] = comp[0] if label == comp[-1] else label + 1
+    choices = [[s for s, ok in ((1, nxt[d] == b), (-1, nxt[b] == d)) if ok]
+               for a, b, c, d in pd.crossings]
+    for signs in product(*choices):
+        head, tail = {}, {}
+        consistent = True
+        for i, ((a, b, c, d), sign) in enumerate(zip(pd.crossings, signs)):
+            over_in, over_out = ((d, 3), (b, 1)) if sign > 0 else ((b, 1), (d, 3))
+            for store, (label, p) in ((head, (a, 0)), (tail, (c, 2)),
+                                      (head, over_in), (tail, over_out)):
+                consistent &= label not in store
+                store[label] = (i, p)
+        if consistent:
+            return list(signs), tail
+    return None
+
+
+def test_orientation_matches_brute_force_oracle():
+    rng = random.Random(14)
+    texts = list(KINKS) + list(HOPF_LINKS)
+    texts += [torus_pd(2 * m) for m in range(1, 6)]
+    for m in range(1, 7):
+        terms = meridian_chain_pd(m).split()
+        for _ in range(5):
+            texts.append(" ".join(terms))
+            rng.shuffle(terms)
+    for text in texts:
+        pd = parse_pd(text)
+        d = build_diagram(pd)
+        signs, tail = oracle_orientation(pd)
+        assert [cr.sign for cr in d.crossings] == signs, text
+        regions = [cr.corner_regions for cr in d.crossings]
+        assert d.edge_sides == {
+            label: (regions[i][p], regions[i][(p - 1) % 4])
+            for label, (i, p) in tail.items()
+        }, text
+
+
+def test_meridian_chain_orients_in_one_pass():
+    # Each loop's over passage reads both ways and only its later under
+    # passage rules one out, the worst case for a sign search.
+    m = 40
+    d = build_diagram(parse_pd(meridian_chain_pd(m)))
+    assert d.n_crossings == 2 * m
+    assert len(d.pd.components) == m + 1
+    assert [cr.sign for cr in d.crossings] == [-1] * (2 * m)
+    # A last loop that passes under twice in the same direction.
+    extra = f" X({4*m+1},{4*m+3},{4*m+2},{4*m+4}) X({4*m+1},{4*m+4},{4*m+2},{4*m+3})"
+    with pytest.raises(StructuralError, match="no consistent strand orientation"):
+        build_diagram(parse_pd(meridian_chain_pd(m) + extra))
 
 
 def test_emit_roundtrip(catalog):
