@@ -249,6 +249,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
             raise CatalogError(f"catalog file {path!r} is not valid UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog file {path!r} is not valid JSON: {exc}") from None
+        except ValueError:  # an integer of more digits than int() converts
+            raise CatalogError(f"catalog file {path!r} holds a number with too many digits") from None
         except RecursionError:
             raise CatalogError(f"catalog file {path!r} is nested too deeply") from None
         if not isinstance(data, dict):

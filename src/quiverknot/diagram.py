@@ -134,6 +134,8 @@ def parse_pd(text: str) -> PDCode:
             raise ParseError(f"bad bracket form: {exc.msg}", position=exc.pos) from None
         except RecursionError:
             raise ParseError("bad bracket form: nested too deeply") from None
+        except ValueError:  # an integer of more digits than int() converts
+            raise ParseError("bad bracket form: a number has too many digits") from None
         if not isinstance(data, list) or not data:
             raise ParseError("bracket form must be a non-empty list of quadruples")
         quads = []
@@ -152,7 +154,10 @@ def parse_pd(text: str) -> PDCode:
         m = _TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad crossing term {term!r}", position=match.start())
-        quads.append(tuple(int(g) for g in m.groups()))
+        try:
+            quads.append(tuple(int(g) for g in m.groups()))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("edge label has too many digits", position=match.start()) from None
     return pd_from_quadruples(quads)
 
 

@@ -11,7 +11,9 @@ polynomial.
 The quiver is stored as a target table, one row per f in S.  When the
 translation x -> x+1 is in S, most rows are composed from its row and
 the row of a predecessor (``coloring_quiver``) instead of being looked
-up vertex by vertex.
+up vertex by vertex.  Building, writing and comparing the quiver come
+down to gathers from that table; each one runs in C through
+``operator.itemgetter`` (``_gather``), not element by element in Python.
 
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
@@ -29,7 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
@@ -98,6 +100,15 @@ class Polynomial2:
         return " + ".join(terms)
 
 
+def _gather(seq, idx: Sequence[int]) -> tuple:
+    """``tuple(seq[i] for i in idx)``, gathered in C.  ``itemgetter``
+    returns a bare item for one index and takes no zero indices, so
+    those two lengths are handled here."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return (seq[idx[0]],) if idx else ()
+
+
 def _check_endos(X: FiniteQuandle, endos: Sequence[QuandleMap]) -> tuple[QuandleMap, ...]:
     """The maps as a tuple: ``Homs`` proved for X -> X as they are, any other
     sequence (a slice of ``Homs`` is a plain tuple) checked exhaustively, once per
@@ -140,7 +151,7 @@ def _codes(columns: Sequence[Sequence[int]], n_vertices: int, order: int,
     for k, col in enumerate(columns):
         w = order**k
         scaled = [y * w for y in image]
-        out = list(map(add, out, map(scaled.__getitem__, col)))
+        out = list(map(add, out, _gather(scaled, col)))
     return out
 
 
@@ -161,7 +172,8 @@ def coloring_quiver(
     row(t)[row(g)] when g = t^-1 o f, found by its image, already has a
     row, since targets[t o g][v] = targets[t][targets[g][v]] for any two
     maps in S.  Every other row is built directly; maps with equal
-    images share one row.
+    images share one row.  Rows are composed, and codes looked up, by
+    ``_gather`` in C.
     """
     S = _check_endos(X, endos)
     vertices = tuple(enumerate_colorings(d, X))
@@ -170,18 +182,18 @@ def coloring_quiver(
     index = {code: vi for vi, code in enumerate(_codes(columns, len(vertices), n, range(n)))}
 
     def direct(image: Sequence[int]) -> tuple[int, ...]:
-        return tuple(map(index.__getitem__, _codes(columns, len(vertices), n, image)))
+        return _gather(index, _codes(columns, len(vertices), n, image))
 
     shift = tuple(range(1, n)) + (0,)
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     row_t = None
     if any(f.image == shift for f in S):
-        minus_1 = [(y - 1) % n for y in range(n)].__getitem__
+        minus_1 = [(y - 1) % n for y in range(n)]
         row_t = rows[shift] = direct(shift)
     for f in sorted(S, key=lambda f: f.image[0]):
         if f.image not in rows:
-            g = None if row_t is None else rows.get(tuple(map(minus_1, f.image)))
-            rows[f.image] = direct(f.image) if g is None else tuple(map(row_t.__getitem__, g))
+            g = None if row_t is None else rows.get(_gather(minus_1, f.image))
+            rows[f.image] = direct(f.image) if g is None else _gather(row_t, g)
     targets = tuple(rows[f.image] for f in S)
     return WeightedQuiver(vertices, targets, S)
 
@@ -212,12 +224,19 @@ def shadow_cocycle_quiver(
 
 
 def _adjacency(q: WeightedQuiver):
-    out_adj = [Counter() for _ in range(q.n_vertices)]
-    in_adj = [Counter() for _ in range(q.n_vertices)]
-    for src, row in enumerate(zip(*q.targets)):
-        out_adj[src].update(row)
-        for dst in row:
-            in_adj[dst][src] += 1
+    """Edge multiplicities per vertex: ``out_adj[v][w]`` and
+    ``in_adj[w][v]`` both count the edges v -> w.  Each out-adjacency is
+    one ``Counter`` of the vertex's column; in-adjacency is filled once
+    per distinct (source, target) pair, not once per edge."""
+    n = q.n_vertices
+    if q.targets:
+        out_adj = [Counter(col) for col in zip(*q.targets)]
+    else:
+        out_adj = [Counter() for _ in range(n)]
+    in_adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for src, out in enumerate(out_adj):
+        for dst, m in out.items():
+            in_adj[dst][src] = m
     return out_adj, in_adj
 
 
@@ -402,7 +421,7 @@ def _verify_witness(
     for v, w in enumerate(mapping):
         if respect_weights and q1.weights[v] != q2.weights[w]:
             return False
-        if out1 and sorted(map(mapping.__getitem__, out1[v])) != sorted(out2[w]):
+        if out1 and sorted(_gather(mapping, out1[v])) != sorted(out2[w]):
             return False
     return True
 
@@ -411,7 +430,7 @@ def cocycle_polynomial(q: WeightedQuiver) -> Polynomial2:
     """Sum of s^weight(source) t^weight(target) over the quiver's edges."""
     if q.weights is None:
         raise InvalidParameterError("quiver has no vertex weights")
-    pairs = (zip(q.weights, map(q.weights.__getitem__, row)) for row in q.targets)
+    pairs = (zip(q.weights, _gather(q.weights, row)) for row in q.targets)
     counts = Counter(chain.from_iterable(pairs))
     return Polynomial2(q.weight_modulus, tuple(sorted(counts.items())))
 
@@ -487,12 +506,13 @@ def quiver_json_chunks(q: WeightedQuiver) -> Iterator[str]:
     """The text of ``json.dumps(quiver_to_json(q))`` in pieces, with no
     edge list built: one piece per vertex holds its out-edges, spelled
     ``[v, target, row]`` as ``json.dumps`` spells them, read from the
-    vertex's column of the target table."""
+    vertex's column of the target table.  The piece is one template,
+    ``[v, %s, e]`` per row e, with the vertex put in and the target
+    names gathered into the ``%s`` slots."""
     yield '{"vertices": ' + json.dumps(_vertex_entries(q)) + ', "edges": ['
     names = list(map(str, range(q.n_vertices)))
-    tails = [f", {e}]" for e in range(len(q.targets))]
+    template = ", ".join(f"[\0, %s, {e}]" for e in range(len(q.targets)))
     for v, col in enumerate(zip(*q.targets)):
-        head = f"[{v}, "
-        text = ", ".join([head + names[t] + tail for t, tail in zip(col, tails)])
+        text = template.replace("\0", names[v]) % _gather(names, col)
         yield ", " + text if v else text
     yield '], "endos": ' + json.dumps([f.image for f in q.endos]) + "}"

@@ -357,6 +357,32 @@ def test_cli_far_apart_labels_are_data_error(capsys):
     assert "component labels [1, 1000000000000] are not consecutive integers" in err
 
 
+# More digits than int() converts under the default limit of 4,300.
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("knot, catalog_text, message", [
+    (f"X(1,1,{LONG},2)", None, "error: edge label has too many digits"),
+    (f"[[1,1,{LONG},2]]", None, "error: bad bracket form: a number has too many digits"),
+    ("4_1", '{"long": {"pd": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "determinant": %s}}' % LONG,
+     "holds a number with too many digits"),
+], ids=["x-form", "bracket-form", "catalog"])
+def test_cli_long_numbers_are_data_errors(tmp_path, knot, catalog_text, message):
+    src = os.path.dirname(os.path.dirname(quiverknot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QUIVERKNOT_CATALOG", None)
+    if catalog_text is not None:
+        path = tmp_path / "long.json"
+        path.write_text(catalog_text)
+        env["QUIVERKNOT_CATALOG"] = str(path)
+    run = subprocess.run([sys.executable, "-m", "quiverknot", "colorings", "--knot", knot,
+                          "--quandle", "dihedral:3"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr.startswith("error: ") and message in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_cli_compare_reports_a_bad_knot_before_a_bad_quandle(capsys):
     # compare checks its inputs in the order quiver and shadow use
     code, out, err = run_cli(capsys, "compare", "4_1", "nosuch", "--quandle", "dihedral:0")

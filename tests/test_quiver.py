@@ -28,7 +28,9 @@ from quiverknot.quandle import (
 )
 from quiverknot.quiver import (
     WeightedQuiver,
+    _adjacency,
     _determining_arcs,
+    _gather,
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
@@ -169,6 +171,14 @@ def test_translation_builds_few_rows_directly(catalog, monkeypatch):
     assert len(looked_up) == 1 + len(rest)
 
 
+def test_gather_takes_any_number_of_indices():
+    # itemgetter alone returns a bare item for one index and refuses none.
+    for seq in ((5, 6, 7), [5, 6, 7], {0: 5, 1: 6, 2: 7}):
+        for idx in ((), [1], (2,), (2, 0, 2), range(3)):
+            got = _gather(seq, idx)
+            assert type(got) is tuple and got == tuple(seq[i] for i in idx), (seq, idx)
+
+
 def test_determining_arcs_project_injectively(catalog):
     for X in QUIVER_ORACLE_QUANDLES.values():
         for knot in catalog.names():
@@ -273,6 +283,23 @@ def test_shadow_quiver_weights(catalog):
     R5 = make_dihedral(5)
     q = shadow_cocycle_quiver(catalog.diagram("4_1"), R5, [plus2()], 0, mochizuki(5))
     assert Counter(q.weights) == Counter({0: 5, 1: 10, 4: 10})
+
+
+def test_adjacency_counts_every_edge(catalog):
+    quivers = [WeightedQuiver((0, 1, 2), (), ())]
+    for n in range(3, 10):
+        X = make_dihedral(n)
+        S = enumerate_homs(X, X)
+        quivers += [coloring_quiver(catalog.diagram(knot), X, S) for knot in catalog.names()]
+    for q in quivers:
+        out_ref = [Counter() for _ in range(q.n_vertices)]
+        in_ref = [Counter() for _ in range(q.n_vertices)]
+        for src, dst, _ in q.edges:
+            out_ref[src][dst] += 1
+            in_ref[dst][src] += 1
+        out_adj, in_adj = _adjacency(q)
+        assert [dict(c) for c in out_adj] == [dict(c) for c in out_ref]
+        assert [dict(c) for c in in_adj] == [dict(c) for c in in_ref]
 
 
 def test_self_isomorphism_with_identity_witness(catalog):
@@ -425,6 +452,8 @@ def _streamed_quivers(catalog):
     yield WeightedQuiver((0, 1, 2), (), ())
     yield WeightedQuiver((0, 1, 2), ((2, 0, 0),), (QuandleMap(3, 3, (0, 2, 1)),))
     yield WeightedQuiver((0, 1), ((1, 1), (1, 0)), (), (3, 0), 5)
+    yield WeightedQuiver((0,), ((0,), (0,)), (), (2,), 3)
+    yield WeightedQuiver((0, 1), ((1, 1),), (), (3, 0), 5)
     lists = ("all", "auto", "1,2;2,0")
     for spec, endo_specs in (("dihedral:3", lists), ("dihedral:5", lists),
                              ("alexander:9:2", lists[:2])):
