@@ -17,12 +17,17 @@ down to gathers from that table; each one runs in C through
 
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
-match.  It is decided by joint color refinement followed by an
-iterative backtracking search on an explicit stack.  The search keeps
-the candidates of each unmapped vertex as an int bitmask over the
-other quiver's vertices and cuts every mask with one ``&`` as each
-vertex is mapped, undoing the cuts from a trail on backtrack.  A
-returned witness is always re-verified edge by edge.
+match.  It is decided by colour refinement of the disjoint union of
+the two quivers, run from a worklist of split cells that skips the
+largest piece of each split (``_joint_refine``).  When the refined
+partition is discrete, one vertex of each quiver per cell, the only
+colour-preserving bijection is read off the cells and verified edge by
+edge, with no search.  Otherwise an iterative backtracking search on
+an explicit stack follows.  It keeps the candidates of each unmapped
+vertex as an int bitmask over the other quiver's vertices and cuts
+every mask with one ``&`` as each vertex is mapped, undoing the cuts
+from a trail on backtrack.  A returned witness is always verified edge
+by edge.
 """
 
 from __future__ import annotations
@@ -241,46 +246,119 @@ def _adjacency(q: WeightedQuiver):
 
 
 def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool):
-    """Iterated neighborhood refinement run jointly so color ids are
-    comparable across the two quivers.  Returns (colors1, colors2) or
-    None when the color histograms separate the quivers."""
+    """Colour refinement of the disjoint union of the two quivers, so
+    colour ids are comparable across them.  Returns (colors1, colors2,
+    out1, in1, out2, in2), or None when some colour has unequal counts
+    in the two quivers.
+
+    The result is the coarsest partition of the union that refines the
+    initial cells (the weights, or one cell) and is stable: any two
+    vertices of a cell have, for every cell C, direction and
+    multiplicity m, equally many neighbours in C joined to them by m
+    edges that way.  That partition is unique, and a split by counts
+    into a union of its cells separates only vertices it separates, so
+    any schedule of such splits that stops at a stable partition reaches
+    it: the search sees the same cells whatever the order, and only the
+    ids depend on it.
+    A cell with unequal counts is a union of final cells, one of which
+    has unequal counts too, so the None verdict does not depend on the
+    order either.
+
+    Union vertex v is q1's v for v < n and q2's v - n otherwise.  The
+    first split is against the initial cells, by each vertex's sorted
+    (weight, multiplicity) pairs, out and in, gathered in C, or by its
+    sorted multiplicities when there is one initial cell.  After it the
+    partition is stable against every initial cell, so the worklist
+    starts with each piece of an initial cell except its largest.  A
+    splitter S gives each vertex with an edge to or from S the sorted
+    multiset of the multiplicities of those edges, negated for edges
+    from S; each touched cell splits by it, its untouched members
+    forming one more piece.  A queued cell queues all its pieces, any
+    other all but its largest: counts into the piece left out are the
+    counts into the whole cell, against which the partition is already
+    stable, minus the counts into the others.  So each vertex is in
+    O(log n) processed splitters, and refinement takes O((n + m) log n)
+    steps for m distinct (source, target) pairs (Paige & Tarjan 1987;
+    Berkholz, Bonsma & Grohe 2013).
+    """
     n = q1.n_vertices
-    if respect_weights:
-        colors1 = list(q1.weights)
-        colors2 = list(q2.weights)
-    else:
-        colors1 = [0] * n
-        colors2 = [0] * n
-    if Counter(colors1) != Counter(colors2):
+    # The initial cells' counts, checked before any adjacency is built.
+    if respect_weights and Counter(q1.weights) != Counter(q2.weights):
         return None
     out1, in1 = _adjacency(q1)
     out2, in2 = _adjacency(q2)
+    # A neighbour's (weight, multiplicity) pair is the one int
+    # weight * k + multiplicity, as no multiplicity reaches k.
+    k = len(q1.targets) + 1
 
-    for _ in range(n):
-        palette: dict = {}
+    def pairs(adj: dict[int, int], scaled) -> tuple[int, ...]:
+        if scaled is None:
+            return tuple(sorted(adj.values()))
+        return tuple(sorted(map(add, _gather(scaled, tuple(adj)), adj.values())))
 
-        def recolor(colors, out_adj, in_adj):
-            new = []
-            for v in range(n):
-                sig = (
-                    colors[v],
-                    tuple(sorted((colors[u], m) for u, m in out_adj[v].items())),
-                    tuple(sorted((colors[u], m) for u, m in in_adj[v].items())),
-                )
-                new.append(palette.setdefault(sig, len(palette)))
-            return new
+    palette: dict = {}
+    cell: list[int] = []
+    for q, out_adj, in_adj in ((q1, out1, in1), (q2, out2, in2)):
+        scaled = [w * k for w in q.weights] if respect_weights else None
+        for v in range(n):
+            sig = (q.weights[v] if respect_weights else 0,
+                   pairs(out_adj[v], scaled), pairs(in_adj[v], scaled))
+            cell.append(palette.setdefault(sig, len(palette)))
+    if Counter(cell[:n]) != Counter(cell[n:]):
+        return None
+    members: list[set[int]] = [set() for _ in palette]
+    for v, c in enumerate(cell):
+        members[c].add(v)
+    pieces_of: dict = {}
+    for sig, c in palette.items():
+        pieces_of.setdefault(sig[0], []).append(c)
+    queue: list[int] = []
+    for pieces in pieces_of.values():
+        pieces.sort(key=lambda c: len(members[c]))
+        queue += pieces[:-1]
+    queued = set(queue)
 
-        new1 = recolor(colors1, out1, in1)
-        new2 = recolor(colors2, out2, in2)
-        if Counter(new1) != Counter(new2):
-            return None
-        # Refinement only splits classes, so an unchanged class count
-        # means the partition is stable.
-        stable = len(set(new1)) == len(set(colors1))
-        colors1, colors2 = new1, new2
-        if stable:
-            break
-    return colors1, colors2, out1, in1, out2, in2
+    while queue:
+        s = queue.pop()
+        queued.discard(s)
+        hits: dict[int, list[int]] = {}
+        for x in members[s]:
+            if x < n:
+                into, out, off = in1[x], out1[x], 0
+            else:
+                into, out, off = in2[x - n], out2[x - n], n
+            for u, m in into.items():
+                hits.setdefault(u + off, []).append(m)
+            for u, m in out.items():
+                hits.setdefault(u + off, []).append(-m)
+        splits: dict[int, dict[tuple, list[int]]] = {}
+        for v, sig in hits.items():
+            sig.sort()
+            splits.setdefault(cell[v], {}).setdefault(tuple(sig), []).append(v)
+        for c, groups in splits.items():
+            rest = members[c]
+            moved = list(groups.values())
+            if len(moved[0]) == len(rest):
+                continue
+            if sum(map(len, moved)) == len(rest):
+                moved.pop()
+            first = len(members)
+            for piece in moved:
+                # c had equal counts, so the piece left in c has them
+                # when every moved piece has.
+                if 2 * sum(v < n for v in piece) != len(piece):
+                    return None
+                for v in piece:
+                    cell[v] = len(members)
+                members.append(set(piece))
+                rest.difference_update(piece)
+            new = range(first, len(members))
+            if c not in queued:
+                new = [c, *new]
+                new.remove(max(new, key=lambda p: len(members[p])))
+            queue += new
+            queued.update(new)
+    return cell[:n], cell[n:], out1, in1, out2, in2
 
 
 def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
@@ -400,6 +478,16 @@ def quiver_isomorphic(
 
     refined = _joint_refine(q1, q2, respect_weights)
     if refined is None:
+        return (False, None)
+    colors1, colors2 = refined[:2]
+    if len(set(colors1)) == n:
+        # A discrete partition allows one colour-preserving bijection,
+        # the mapping the search would return; it is an isomorphism or
+        # none is.
+        position = dict(zip(colors2, range(n)))
+        witness = _gather(position, colors1)
+        if _verify_witness(q1, q2, witness, respect_weights):
+            return (True, witness)
         return (False, None)
     mapping = _search(*refined)
     if mapping is None:

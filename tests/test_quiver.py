@@ -5,7 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -31,6 +31,7 @@ from quiverknot.quiver import (
     _adjacency,
     _determining_arcs,
     _gather,
+    _joint_refine,
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
@@ -535,12 +536,145 @@ def test_weighted_verdict_tracks_multiset_equality(catalog):
     assert iso == same
 
 
+def path_quiver(n, copies=1):
+    """``copies`` disjoint directed paths of n vertices: i -> i + 1, and a
+    loop on the last vertex of each."""
+    row = tuple(range(1, n)) + (n - 1,)
+    targets = tuple(t + k * n for k in range(copies) for t in row)
+    return WeightedQuiver(tuple(range(n * copies)), (targets,), ())
+
+
 def test_long_rigid_path_needs_no_recursion():
-    # one search level per vertex: deeper than the default recursion limit;
-    # i -> i + 1, and a loop on the last vertex
-    n = 1100
-    path = WeightedQuiver(tuple(range(n)), (tuple(range(1, n)) + (n - 1,),), ())
-    assert quiver_isomorphic(path, path) == (True, tuple(range(n)))
+    # The path refines to a discrete partition, so no search runs.  Two
+    # copies of a 550-vertex path refine to cells of one vertex of each
+    # copy per quiver, and the search runs one level per vertex, 1,100
+    # levels: deeper than the default recursion limit.
+    for path in (path_quiver(1100), path_quiver(550, copies=2)):
+        assert quiver_isomorphic(path, path) == (True, tuple(range(1100)))
+
+
+def test_discrete_partition_skips_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran on a discrete partition")
+
+    monkeypatch.setattr(quiverknot.quiver, "_search", no_search)
+    path = path_quiver(2025)
+    assert quiver_isomorphic(path, path) == (True, tuple(range(2025)))
+    perm = list(range(50))
+    random.Random(16).shuffle(perm)
+    assert quiver_isomorphic(path_quiver(50), relabelled(path_quiver(50), perm)) == (
+        True, tuple(perm))
+    # the forced bijection is the only candidate, so a failed check is a
+    # verdict, not a reason to search
+    monkeypatch.setattr(quiverknot.quiver, "_verify_witness", lambda *args: False)
+    assert quiver_isomorphic(path, path) == (False, None)
+
+
+def round_refine(q1, q2, respect_weights):
+    """Reference: joint colour refinement in rounds.  Each round recolours
+    every vertex by its colour and the sorted (colour, multiplicity)
+    pairs of its out- and in-neighbours, until a round splits nothing.
+    Returns (colors1, colors2), or None when a round's colour counts
+    differ between the quivers."""
+    n = q1.n_vertices
+    if respect_weights:
+        colors1 = list(q1.weights)
+        colors2 = list(q2.weights)
+    else:
+        colors1 = [0] * n
+        colors2 = [0] * n
+    if Counter(colors1) != Counter(colors2):
+        return None
+    out1, in1 = _adjacency(q1)
+    out2, in2 = _adjacency(q2)
+
+    for _ in range(n):
+        palette: dict = {}
+
+        def recolor(colors, out_adj, in_adj):
+            new = []
+            for v in range(n):
+                sig = (
+                    colors[v],
+                    tuple(sorted((colors[u], m) for u, m in out_adj[v].items())),
+                    tuple(sorted((colors[u], m) for u, m in in_adj[v].items())),
+                )
+                new.append(palette.setdefault(sig, len(palette)))
+            return new
+
+        new1 = recolor(colors1, out1, in1)
+        new2 = recolor(colors2, out2, in2)
+        if Counter(new1) != Counter(new2):
+            return None
+        # Refinement only splits classes, so an unchanged class count
+        # means the partition is stable.
+        stable = len(set(new1)) == len(set(colors1))
+        colors1, colors2 = new1, new2
+        if stable:
+            break
+    return colors1, colors2
+
+
+def union_partition(colors1, colors2):
+    """The set partition of the union of the two vertex sets that the
+    colours make, as colour ids renumbered by first appearance."""
+    first: dict = {}
+    return [first.setdefault(c, len(first)) for c in chain(colors1, colors2)]
+
+
+def assert_same_partition(q1, q2, respect_weights=False):
+    expected = round_refine(q1, q2, respect_weights)
+    refined = _joint_refine(q1, q2, respect_weights)
+    if expected is None:
+        assert refined is None
+    else:
+        assert refined is not None
+        assert union_partition(*refined[:2]) == union_partition(*expected)
+
+
+def test_worklist_refinement_matches_rounds_on_catalog_quivers(catalog):
+    # every ordered pair of catalog quivers with equal vertex counts: End
+    # over R_3, R_5 and R_9, and shadow quivers with and without weights
+    names = catalog.names()
+    for p in (3, 5, 9):
+        X = make_dihedral(p)
+        end = enumerate_homs(X, X)
+        families = [([coloring_quiver(catalog.diagram(k), X, end) for k in names], (False,))]
+        if p < 9:  # Mochizuki's cocycle needs a prime order
+            theta = mochizuki(p)
+            shadows = [shadow_cocycle_quiver(catalog.diagram(k), X, end, 0, theta)
+                       for k in names]
+            families.append((shadows, (False, True)))
+        for family, respects in families:
+            for q1, q2 in product(family, repeat=2):
+                if q1.n_vertices == q2.n_vertices:
+                    for respect in respects:
+                        assert_same_partition(q1, q2, respect)
+
+
+def test_worklist_refinement_matches_rounds_on_random_and_path_quivers():
+    rng = random.Random(1987)
+    for trial in range(400):
+        n = 1 + trial % 16
+        weighted = trial % 2 == 1
+        rows = rng.randint(0, 3)
+        q1 = random_quiver(rng, n, rows, weighted)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [list(row) for row in q1.targets]
+        if moved:
+            moved[0][rng.randrange(n)] = rng.randrange(n)
+        moved = WeightedQuiver(q1.vertices, tuple(map(tuple, moved)), (), q1.weights,
+                               q1.weight_modulus)
+        for q2 in (q1, relabelled(q1, perm), relabelled(moved, perm),
+                   random_quiver(rng, n, rows, weighted)):
+            for respect in (False, True) if weighted else (False,):
+                assert_same_partition(q1, q2, respect)
+    for n in (1, 2, 3, 10, 61):
+        assert_same_partition(path_quiver(n), path_quiver(n))
+        assert_same_partition(path_quiver(n, copies=2), path_quiver(n, copies=2))
+        assert_same_partition(path_quiver(2 * n), path_quiver(n, copies=2))
+        assert_same_partition(path_quiver(n, copies=2), path_quiver(2 * n))
 
 
 # SHA-256 of the lines "n knotA knotB verdict witness" below, recorded
@@ -696,3 +830,34 @@ def test_verdicts_match_networkx(catalog):
                 graphs[a], graphs[b]), (p, a, b)
             assert quiver_isomorphic(weighted[a], weighted[b], respect_weights=True)[0] == (
                 nx.is_isomorphic(wgraphs[a], wgraphs[b], node_match=same_weight)), (p, a, b)
+
+    # Seeded random quivers that refinement makes discrete, against
+    # relabelled copies (the search is skipped) and relabelled copies with
+    # one edge moved.  The forced bijection of a discrete stable partition
+    # is always an isomorphism, so the False verdicts come from
+    # refinement.
+    rng = random.Random(2013)
+    verdicts = Counter()
+    rigid = Counter()
+    while min(rigid[rows, w] for rows in (1, 2, 3) for w in (False, True)) < 5:
+        n = rng.randint(8, 30)
+        rows = rng.randint(1, 3)
+        weighted = rng.random() < 0.5
+        q1 = random_quiver(rng, n, rows, weighted)
+        if len(set(_joint_refine(q1, q1, weighted)[0])) < n:
+            continue
+        rigid[rows, weighted] += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [list(row) for row in q1.targets]
+        moved[rng.randrange(rows)][rng.randrange(n)] = rng.randrange(n)
+        moved = WeightedQuiver(q1.vertices, tuple(map(tuple, moved)), (), q1.weights,
+                               q1.weight_modulus)
+        for q2 in (relabelled(q1, perm), relabelled(moved, perm)):
+            iso, witness = quiver_isomorphic(q1, q2, respect_weights=weighted)
+            expected = nx.is_isomorphic(as_graph(q1), as_graph(q2),
+                                        node_match=same_weight if weighted else None)
+            assert iso == expected, (n, rows, weighted)
+            assert iso == (witness is not None)
+            verdicts[weighted, iso] += 1
+    assert min(verdicts[w, iso] for w in (False, True) for iso in (False, True)) >= 5, verdicts
