@@ -3,14 +3,15 @@
 Entries carry a PD code plus recorded invariants used as a validation
 fingerprint: the knot determinant and the nontrivial elementary
 divisors of the coloring matrix (the first homology of the double
-branched cover).  An entry is parsed, built and checked against its
-fingerprint on first use, and a user file's entries at load; dihedral
-coloring counts for any n follow from those divisors, so a corrupted PD
-code cannot silently feed the invariants.
+branched cover).  A built-in entry is read once per process and built
+and checked against its fingerprint on first use, a user file's
+entries at load; dihedral coloring counts for any n follow from those
+divisors, so a corrupted PD code cannot silently feed the invariants.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -222,7 +223,10 @@ def _entry_from_dict(name: str, raw: dict) -> CatalogEntry:
     )
 
 
+@functools.cache
 def default_entries() -> dict[str, CatalogEntry]:
+    """The built-in entries, read from their constants once per process.
+    The dict is shared: copy it before adding to it."""
     return {
         name: _entry_from_dict(name, raw) for name, raw in _DEFAULT_ENTRIES.items()
     }
@@ -236,7 +240,7 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
     entries override built-ins of the same name.  User entries are built
     and fingerprint-checked here, built-ins on first use; a failure names its entry.
     """
-    catalog = Catalog(default_entries())
+    catalog = Catalog(dict(default_entries()))
     if path is None:
         path = os.environ.get(ENV_CATALOG) or None
     if path is not None:

@@ -245,8 +245,7 @@ def extend_shadow(d: Diagram, X: FiniteQuandle, c: Coloring, base: int) -> Shado
 
     by_region: list[list[tuple[int, int, int]]] = [[] for _ in range(d.n_regions)]
     relations = []
-    for label in sorted(d.edge_sides):
-        left, right = d.edge_sides[label]
+    for label, (left, right) in d.edge_sides.items():
         arc = d.arc_of_edge[label]
         relations.append((left, right, arc))
         by_region[left].append((left, right, arc))

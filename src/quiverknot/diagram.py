@@ -85,9 +85,10 @@ class Diagram:
 
     ``arcs[i]`` is the sorted tuple of edge labels forming arc i.
     ``edge_sides[label]`` is (left region, right region) relative to the
-    edge's direction along the strand orientation.  ``region_corners``
-    lists, per region, its (crossing index, corner) pairs.  Immutable
-    after construction and safe to share between threads.
+    edge's direction along the strand orientation, keyed in label order.
+    ``region_corners`` lists, per region, its (crossing index, corner)
+    pairs.  Immutable after construction and safe to share between
+    threads.
     """
 
     pd: PDCode

@@ -265,18 +265,23 @@ def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool)
     order either.
 
     Union vertex v is q1's v for v < n and q2's v - n otherwise.  The
-    first split is against the initial cells, by each vertex's sorted
-    (weight, multiplicity) pairs, out and in, gathered in C, or by its
-    sorted multiplicities when there is one initial cell.  After it the
-    partition is stable against every initial cell, so the worklist
-    starts with each piece of an initial cell except its largest.  A
-    splitter S gives each vertex with an edge to or from S the sorted
-    multiset of the multiplicities of those edges, negated for edges
-    from S; each touched cell splits by it, its untouched members
-    forming one more piece.  A queued cell queues all its pieces, any
-    other all but its largest: counts into the piece left out are the
-    counts into the whole cell, against which the partition is already
-    stable, minus the counts into the others.  So each vertex is in
+    weights only seed the cells: the first split is by each vertex's own
+    weight, when weights count, and its sorted out- and in-multiplicities.
+    Those multiplicities are its edges to and from the whole union, so
+    after this split the partition is stable against the union.  Then
+    counts into any one cell are the counts into the union minus the
+    counts into the other cells, and stability against all cells but one
+    gives stability against that one too: any one cell may be left out
+    of the worklist.  The one left out is the largest, so that every
+    queued cell holds at most half of the union, as the bound below
+    needs.  A neighbour's weight needs no code of its own, since cells
+    of different weights are different splitters.  A splitter S gives
+    each vertex with an edge to or from S the sorted multiset of the
+    multiplicities of those edges, negated for edges from S; each
+    touched cell splits by it, its untouched members forming one more
+    piece.  A queued cell queues all its pieces, any other all but its
+    largest, by the same subtraction against the whole cell, against
+    which the partition is already stable.  So each vertex is in
     O(log n) processed splitters, and refinement takes O((n + m) log n)
     steps for m distinct (source, target) pairs (Paige & Tarjan 1987;
     Berkholz, Bonsma & Grohe 2013).
@@ -287,35 +292,19 @@ def _joint_refine(q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool)
         return None
     out1, in1 = _adjacency(q1)
     out2, in2 = _adjacency(q2)
-    # A neighbour's (weight, multiplicity) pair is the one int
-    # weight * k + multiplicity, as no multiplicity reaches k.
-    k = len(q1.targets) + 1
-
-    def pairs(adj: dict[int, int], scaled) -> tuple[int, ...]:
-        if scaled is None:
-            return tuple(sorted(adj.values()))
-        return tuple(sorted(map(add, _gather(scaled, tuple(adj)), adj.values())))
-
     palette: dict = {}
     cell: list[int] = []
     for q, out_adj, in_adj in ((q1, out1, in1), (q2, out2, in2)):
-        scaled = [w * k for w in q.weights] if respect_weights else None
         for v in range(n):
             sig = (q.weights[v] if respect_weights else 0,
-                   pairs(out_adj[v], scaled), pairs(in_adj[v], scaled))
+                   tuple(sorted(out_adj[v].values())), tuple(sorted(in_adj[v].values())))
             cell.append(palette.setdefault(sig, len(palette)))
     if Counter(cell[:n]) != Counter(cell[n:]):
         return None
     members: list[set[int]] = [set() for _ in palette]
     for v, c in enumerate(cell):
         members[c].add(v)
-    pieces_of: dict = {}
-    for sig, c in palette.items():
-        pieces_of.setdefault(sig[0], []).append(c)
-    queue: list[int] = []
-    for pieces in pieces_of.values():
-        pieces.sort(key=lambda c: len(members[c]))
-        queue += pieces[:-1]
+    queue = sorted(range(len(members)), key=lambda c: len(members[c]))[:-1]
     queued = set(queue)
 
     while queue:

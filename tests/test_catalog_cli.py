@@ -13,6 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import quiverknot
+import quiverknot.catalog
 from quiverknot.catalog import CatalogError, load_catalog
 from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
@@ -96,6 +97,38 @@ def test_catalog_env_var(tmp_path, monkeypatch, catalog):
     monkeypatch.setenv("QUIVERKNOT_CATALOG", str(path))
     merged = load_catalog()
     assert "envknot" in merged
+
+
+def test_user_entries_stay_in_their_catalog(tmp_path, monkeypatch, catalog):
+    # The built-in entries are shared between loads; a user file's
+    # entries, overrides included, must not reach a later load.
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({
+        "4_1": {"pd": catalog.entries["3_1"].pd, "determinant": 3},
+        "envknot": {"pd": catalog.entries["3_1"].pd, "determinant": 3},
+    }))
+    monkeypatch.setenv("QUIVERKNOT_CATALOG", str(path))
+    merged = load_catalog()
+    assert "envknot" in merged and merged.entries["4_1"].determinant == 3
+    monkeypatch.delenv("QUIVERKNOT_CATALOG")
+    plain = load_catalog()
+    assert "envknot" not in plain and len(plain.entries) == 12
+    assert plain.entries["4_1"] == catalog.entries["4_1"]
+    assert plain.diagram("4_1").n_crossings == 4
+
+
+def test_builtin_entries_are_read_once(monkeypatch):
+    load_catalog()
+    calls = []
+    real = quiverknot.catalog._entry_from_dict
+
+    def spy(name, raw):
+        calls.append(name)
+        return real(name, raw)
+
+    monkeypatch.setattr(quiverknot.catalog, "_entry_from_dict", spy)
+    assert len(load_catalog().entries) == 12
+    assert calls == []
 
 
 def run_cli(capsys, *argv):

@@ -34,7 +34,7 @@ def reference_theta(p, x, y, z):
     return ((x - y) * (num // (2 * p))) % p
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_table_matches_exact_integer_evaluation(p):
     theta = mochizuki(p)
     for x, y, z in product(range(p), repeat=3):

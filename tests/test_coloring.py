@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ import quiverknot.coloring
 from quiverknot.catalog import load_catalog
 from quiverknot.coloring import (
     Coloring,
+    ShadowConflictError,
     _branch_order,
     apply_endo,
     coloring_matrix,
@@ -433,6 +435,35 @@ def test_extension_exists_and_unique_brute_force(catalog):
             assert count == 1
             s = extend_shadow(d, R3, c, base)
             assert s.region_values[d.r_infinity] == base
+
+
+def test_shadow_extension_reports_an_unreached_region(catalog):
+    # A region that no edge borders is never reached from the unbounded one.
+    R3 = make_dihedral(3)
+    d = catalog.diagram("3_1")
+    bad = replace(d, n_regions=d.n_regions + 1)
+    for c in enumerate_colorings(d, R3):
+        for base in range(3):
+            with pytest.raises(ShadowConflictError, match="did not cover all regions"):
+                extend_shadow(bad, R3, c, base)
+
+
+def test_shadow_extension_reports_inconsistent_regions(catalog):
+    # An edge read as part of the wrong arc breaks the relation across
+    # some edge under every nontrivial coloring and every base.
+    R3 = make_dihedral(3)
+    d = catalog.diagram("3_1")
+    nontrivial = [c for c in enumerate_colorings(d, R3) if len(set(c.values)) > 1]
+    assert len(nontrivial) == 6
+    for label, arc in d.arc_of_edge.items():
+        for other in range(d.n_arcs):
+            if other == arc:
+                continue
+            bad = replace(d, arc_of_edge={**d.arc_of_edge, label: other})
+            for c in nontrivial:
+                for base in range(3):
+                    with pytest.raises(ShadowConflictError, match="inconsistent region values"):
+                        extend_shadow(bad, R3, c, base)
 
 
 def test_shadow_count_matches_coloring_count(catalog):

@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, combinations, permutations, product
 
 import pytest
@@ -348,6 +349,19 @@ def test_isomorphism_weight_requires_weights(catalog):
     q = coloring_quiver(catalog.diagram("3_1"), R3, [identity_map(R3)])
     with pytest.raises(InvalidParameterError):
         quiver_isomorphic(q, q, respect_weights=True)
+
+
+def test_weights_of_different_moduli_never_match(catalog):
+    # The same weights read modulo another number: equal histograms, so
+    # only the moduli tell the two apart.
+    R5 = make_dihedral(5)
+    q = shadow_cocycle_quiver(catalog.diagram("4_1"), R5, enumerate_autos(R5), 0, mochizuki(5))
+    other = replace(q, weight_modulus=q.weight_modulus + 1)
+    identity = (True, tuple(range(q.n_vertices)))
+    assert quiver_isomorphic(q, q, respect_weights=True) == identity
+    assert quiver_isomorphic(q, other) == identity
+    assert quiver_isomorphic(q, other, respect_weights=True) == (False, None)
+    assert quiver_isomorphic(other, q, respect_weights=True) == (False, None)
 
 
 def test_polynomials_reference_values(catalog):
