@@ -16,6 +16,7 @@ coloring quiver.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,11 +24,6 @@ from typing import Optional, Sequence
 from .coloring import Coloring, ShadowColoring, enumerate_colorings, extend_shadow
 from .diagram import Diagram
 from .quandle import FiniteQuandle, InvalidParameterError
-
-# Corner index of the source region (both orientations point away from
-# it), by crossing sign.
-_SOURCE_CORNER = {1: 3, -1: 0}
-
 
 @dataclass(frozen=True)
 class Cocycle3:
@@ -57,6 +53,7 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+@functools.cache
 def mochizuki(p: int) -> Cocycle3:
     """Mochizuki's 3-cocycle on the dihedral quandle R_p, values in Z_p.
 
@@ -66,29 +63,33 @@ def mochizuki(p: int) -> Cocycle3:
     even, so the quotient is exact for any integer representatives.
     Inputs are reduced to 0..p-1 and 2z - y is reduced mod p before
     exponentiation; powers are taken mod p^2, which leaves the quotient
-    mod p unchanged.  The normalization (the 2 in the denominator) is
-    pinned by the reference quiver polynomials of the figure-eight and
-    cinquefoil knots in the acceptance suite; dividing by p alone yields
-    the same cocycle scaled by 2, which lands the nontrivial weights in
-    the opposite square class mod 5.
+    mod p unchanged.  So the p powers k^p mod p^2 are taken once, the
+    quotient times 1/2 mod p is tabled for each (y, z), and every
+    theta(x, y, z) is that entry times x - y.  The normalization (the 2
+    in the denominator) is pinned by the reference quiver polynomials of
+    the figure-eight and cinquefoil knots in the acceptance suite;
+    dividing by p alone yields the same cocycle scaled by 2, which lands
+    the nontrivial weights in the opposite square class mod 5.
+
+    Built once per p and process and shared after: a Cocycle3 is frozen
+    and made of tuples.  A p that is not an odd prime raises on every
+    call, since an exception is never cached.
     """
     if not _is_odd_prime(p):
         raise InvalidParameterError(f"{p} is not an odd prime")
     p2 = p * p
     inv2 = (p + 1) // 2
-    table = []
-    for x in range(p):
-        plane = []
-        for y in range(p):
-            row = []
-            for z in range(p):
-                w = (2 * z - y) % p
-                num = (pow(w, p, p2) + pow(y, p, p2) - 2 * pow(z, p, p2)) % p2
-                q = num // p
-                row.append(((x - y) * q * inv2) % p)
-            plane.append(tuple(row))
-        table.append(tuple(plane))
-    return Cocycle3(p, p, tuple(table))
+    power = [pow(k, p, p2) for k in range(p)]
+    half = [
+        [(power[(2 * z - y) % p] + power[y] - 2 * power[z]) % p2 // p * inv2 % p
+         for z in range(p)]
+        for y in range(p)
+    ]
+    table = tuple(
+        tuple(tuple((x - y) * h % p for h in half[y]) for y in range(p))
+        for x in range(p)
+    )
+    return Cocycle3(p, p, table)
 
 
 def verify_cocycle(theta: Cocycle3, X: FiniteQuandle) -> Optional[tuple]:
@@ -125,16 +126,14 @@ def weight_sum(d: Diagram, s: ShadowColoring, theta: Cocycle3) -> int:
     """The signed sum of crossing weights, reduced to 0..modulus-1.
 
     Each crossing contributes sign * theta(region, under_in, over), where
-    region is the source corner's.  That convention is pinned by
-    reproducing the reference polynomials of the acceptance suite.
+    region is the source corner's, read from ``d.crossing_terms``.  That
+    convention is pinned by reproducing the reference polynomials of the
+    acceptance suite.
     """
+    regions, arcs, table = s.region_values, s.arc_values.values, theta.table
     total = 0
-    for cr in d.crossings:
-        region = cr.corner_regions[_SOURCE_CORNER[cr.sign]]
-        x = s.region_values[region]
-        y = s.arc_values.values[cr.under_in_arc]
-        z = s.arc_values.values[cr.over_arc]
-        total += cr.sign * theta.table[x][y][z]
+    for sign, region, under_in, over in d.crossing_terms:
+        total += sign * table[regions[region]][arcs[under_in]][arcs[over]]
     return total % theta.modulus
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
 
 from .diagram import Diagram
 from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack, check_order
@@ -233,40 +232,27 @@ def extend_shadow(d: Diagram, X: FiniteQuandle, c: Coloring, base: int) -> Shado
     """The unique shadow coloring extending c with the unbounded region
     labeled ``base``.
 
-    Region values propagate breadth-first across edges from the
-    unbounded region using ``c(left) = c(right) * c(arc)``.  Every
-    relation is re-verified after propagation, so the result does not
-    depend on the spanning tree; any conflict raises ShadowConflictError.
+    Region values are set by walking ``d.shadow_plan``'s steps, a
+    breadth-first order from the unbounded region built once per diagram,
+    using ``c(left) = c(right) * c(arc)`` forward and its inverse
+    backward.  Every relation is then re-verified on every call, so the
+    result does not depend on the spanning tree; an unreachable region or
+    any conflict raises ShadowConflictError.
     """
     if not 0 <= base < X.order:
         raise InvalidParameterError(f"base label {base} out of range")
-    region_vals: list[Optional[int]] = [None] * d.n_regions
-    region_vals[d.r_infinity] = base
-
-    by_region: list[list[tuple[int, int, int]]] = [[] for _ in range(d.n_regions)]
-    relations = []
-    for label, (left, right) in d.edge_sides.items():
-        arc = d.arc_of_edge[label]
-        relations.append((left, right, arc))
-        by_region[left].append((left, right, arc))
-        by_region[right].append((left, right, arc))
-
-    pending = [d.r_infinity]
-    for region in pending:  # appended to while walked: a FIFO queue
-        val = region_vals[region]
-        for left, right, arc in by_region[region]:
-            x = c.values[arc]
-            if region_vals[left] is None:
-                region_vals[left] = X.op[val][x]
-                pending.append(left)
-            elif region_vals[right] is None:
-                region_vals[right] = X.inv_op[val][x]
-                pending.append(right)
-
-    if any(v is None for v in region_vals):
+    steps, relations = d.shadow_plan
+    if len(steps) != d.n_regions - 1:
         raise ShadowConflictError("region adjacency graph did not cover all regions")
+    op, inv_op, values = X.op, X.inv_op, c.values
+    region_vals = [base] * d.n_regions
+    for region, source, arc, forward in steps:
+        if forward:
+            region_vals[region] = op[region_vals[source]][values[arc]]
+        else:
+            region_vals[region] = inv_op[region_vals[source]][values[arc]]
     for left, right, arc in relations:
-        if X.op[region_vals[right]][c.values[arc]] != region_vals[left]:
+        if op[region_vals[right]][values[arc]] != region_vals[left]:
             raise ShadowConflictError(
                 f"inconsistent region values across an edge of arc {arc}"
             )

@@ -27,6 +27,7 @@ slots q and q+1, so corner 0 = SE, 1 = NE, 2 = NW, 3 = SW.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -89,6 +90,14 @@ class Diagram:
     ``region_corners`` lists, per region, its (crossing index, corner)
     pairs.  Immutable after construction and safe to share between
     threads.
+
+    Two derived tables are computed on first read and cached on the
+    object: ``shadow_plan`` (the region propagation order of a shadow
+    extension) and ``crossing_terms`` (what each crossing's cocycle
+    weight reads).  They live and die with the diagram, and
+    ``with_r_infinity`` returns a fresh object that computes its own.  Two
+    concurrent first reads at worst compute the same value twice, so a
+    diagram stays safe to share.
     """
 
     pd: PDCode
@@ -112,8 +121,63 @@ class Diagram:
     def writhe(self) -> int:
         return sum(cr.sign for cr in self.crossings)
 
+    @functools.cached_property
+    def shadow_plan(self) -> tuple[tuple, tuple]:
+        """``(steps, relations)``: how a shadow coloring fills the regions.
+
+        ``relations`` holds one ``(left, right, arc)`` per edge, in label
+        order; a shadow coloring satisfies
+        ``c(left) == c(right) * c(arc)`` across each.  ``steps`` is a
+        breadth-first search of the region adjacency graph from
+        ``r_infinity``: each ``(region, from_region, arc, forward)`` sets
+        ``region`` from the already set ``from_region`` across an edge of
+        ``arc``, through ``*`` when ``region`` is the edge's left side
+        (``forward``) and through its inverse when it is the right.  The
+        order reads only the diagram, never a coloring's values.  A
+        connected diagram has ``n_regions - 1`` steps; fewer means some
+        region is unreachable.
+        """
+        relations = tuple(
+            (left, right, self.arc_of_edge[label])
+            for label, (left, right) in self.edge_sides.items()
+        )
+        by_region: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_regions)]
+        for rel in relations:
+            by_region[rel[0]].append(rel)
+            by_region[rel[1]].append(rel)
+        reached = [False] * self.n_regions
+        reached[self.r_infinity] = True
+        steps = []
+        pending = [self.r_infinity]
+        for region in pending:  # appended to while walked: a FIFO queue
+            for left, right, arc in by_region[region]:
+                if not reached[left]:
+                    reached[left] = True
+                    steps.append((left, region, arc, True))
+                    pending.append(left)
+                elif not reached[right]:
+                    reached[right] = True
+                    steps.append((right, region, arc, False))
+                    pending.append(right)
+        return tuple(steps), relations
+
+    @functools.cached_property
+    def crossing_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per crossing, ``(sign, source region, under_in arc, over arc)``.
+
+        The source corner is the one both strand orientations point away
+        from: corner 3 (SW) at a positive crossing, corner 0 (SE) at a
+        negative one.
+        """
+        return tuple(
+            (cr.sign, cr.corner_regions[3 if cr.sign > 0 else 0], cr.under_in_arc, cr.over_arc)
+            for cr in self.crossings
+        )
+
     def with_r_infinity(self, region: int) -> "Diagram":
-        """The same diagram with a different face designated unbounded."""
+        """The same diagram with a different face designated unbounded.
+
+        A new object, so its ``shadow_plan`` is computed afresh."""
         if not 0 <= region < self.n_regions:
             raise StructuralError(f"no region {region} in this diagram")
         return replace(self, r_infinity=region)

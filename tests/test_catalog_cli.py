@@ -464,6 +464,19 @@ def test_cli_weighted_compare_extends_each_shadow_once_per_base(capsys, monkeypa
             assert blob["outputs"]["multisets"][side] == multiset_to_json(full)
 
 
+def test_cli_weighted_compare_builds_one_shadow_plan_per_diagram(capsys, monkeypatch):
+    from quiverknot.diagram import Diagram
+
+    plan = Diagram.__dict__["shadow_plan"]
+    built = []
+    real = plan.func
+    monkeypatch.setattr(plan, "func", lambda d: built.append(d) or real(d))
+    run_json(capsys, "compare", "4_1", "5_1", "--quandle", "dihedral:5", "--weighted")
+    assert len(built) == 2
+    assert built[0] is not built[1]
+    assert [d.n_crossings for d in built] == [4, 5]
+
+
 USAGE = {
     None: "usage: quiverknot [-h] {colorings,quiver,shadow,compare} ...\n",
     # Python 3.13 wraps a mutually exclusive group between its members.

@@ -69,6 +69,19 @@ def test_mochizuki_rejects_non_odd_primes():
             mochizuki(bad)
 
 
+def test_mochizuki_table_is_built_once_per_prime():
+    for p in (3, 5, 13):
+        assert mochizuki(p) is mochizuki(p)
+    assert mochizuki(3) is not mochizuki(5)
+
+
+def test_mochizuki_errors_are_not_cached():
+    for bad in (9, 1):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="not an odd prime"):
+                mochizuki(bad)
+
+
 def test_zero_cocycle_and_corrupted_table():
     R3 = make_dihedral(3)
     assert verify_cocycle(zero_cocycle(3, 3), R3) is None

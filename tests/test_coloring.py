@@ -11,6 +11,7 @@ import quiverknot.coloring
 from quiverknot.catalog import load_catalog
 from quiverknot.coloring import (
     Coloring,
+    ShadowColoring,
     ShadowConflictError,
     _branch_order,
     apply_endo,
@@ -30,7 +31,7 @@ from quiverknot.quandle import (
     make_dihedral,
 )
 from quiverknot.snf import smith_normal_form, solution_count_mod
-from pd_generators import relabel_pd, torus_pd, trefoil_sum_pd
+from pd_generators import meridian_chain_pd, relabel_pd, torus_pd, trefoil_sum_pd
 from test_quandle import Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -498,3 +499,88 @@ def test_shadow_serialization():
     blob = s.to_json()
     assert blob["arcs"] == [2]
     assert set(blob["regions"]) == {"0", "1"}
+
+
+def reference_extend_shadow(d, X, c, base):
+    """Reference: the shadow extension with its breadth-first search
+    rebuilt on every call, from the diagram's edges alone."""
+    region_vals = [None] * d.n_regions
+    region_vals[d.r_infinity] = base
+    by_region = [[] for _ in range(d.n_regions)]
+    relations = []
+    for label, (left, right) in d.edge_sides.items():
+        arc = d.arc_of_edge[label]
+        relations.append((left, right, arc))
+        by_region[left].append((left, right, arc))
+        by_region[right].append((left, right, arc))
+    pending = [d.r_infinity]
+    for region in pending:
+        val = region_vals[region]
+        for left, right, arc in by_region[region]:
+            x = c.values[arc]
+            if region_vals[left] is None:
+                region_vals[left] = X.op[val][x]
+                pending.append(left)
+            elif region_vals[right] is None:
+                region_vals[right] = X.inv_op[val][x]
+                pending.append(right)
+    if any(v is None for v in region_vals):
+        raise ShadowConflictError("region adjacency graph did not cover all regions")
+    for left, right, arc in relations:
+        if X.op[region_vals[right]][c.values[arc]] != region_vals[left]:
+            raise ShadowConflictError(f"inconsistent region values across an edge of arc {arc}")
+    return ShadowColoring(c, tuple(region_vals))
+
+
+def shadow_outcome(extend, d, X, c, base):
+    try:
+        return extend(d, X, c, base)
+    except ShadowConflictError as exc:
+        return str(exc)
+
+
+def assert_extensions_match_reference(d, quandles):
+    for X in quandles:
+        for c in enumerate_colorings(d, X):
+            for base in range(X.order):
+                assert (shadow_outcome(extend_shadow, d, X, c, base)
+                        == shadow_outcome(reference_extend_shadow, d, X, c, base))
+
+
+# The crossing rule reads no crossing sign, so over alexander:5:2, where
+# * is not an involution, the nontrivial colorings of 4_1, 8_10 and 8_18
+# have no shadow extension, and both versions must raise the same error.
+# That quandle also tells the forward steps (through op) from the
+# backward ones (through inv_op), which no dihedral quandle can.
+SHADOW_QUANDLES = [make_dihedral(3), make_dihedral(5), make_dihedral(7), make_alexander(5, 2)]
+
+
+def test_shadow_plan_matches_reference_on_every_unbounded_region(catalog):
+    for name in catalog.names():
+        d = catalog.diagram(name)
+        for region in range(d.n_regions):
+            assert_extensions_match_reference(d.with_r_infinity(region), SHADOW_QUANDLES)
+
+
+def test_shadow_plan_matches_reference_on_generated_links():
+    pds = [torus_pd(k) for k in range(2, 10)] + [meridian_chain_pd(m) for m in range(1, 4)]
+    for pd in pds:
+        d = build_diagram(parse_pd(pd))
+        for region in range(d.n_regions):
+            assert_extensions_match_reference(d.with_r_infinity(region), SHADOW_QUANDLES[:2])
+
+
+def test_shadow_plan_is_not_carried_over_to_another_unbounded_region(catalog):
+    # with_r_infinity makes a new diagram, whose plan starts from its own
+    # unbounded region; a plan copied from d would start from d's.
+    R5 = make_dihedral(5)
+    d = catalog.diagram("4_1")
+    steps, _ = d.shadow_plan
+    assert steps[0][1] == d.r_infinity
+    cols = enumerate_colorings(d, R5)
+    for region in range(d.n_regions):
+        moved = d.with_r_infinity(region)
+        for c in cols:
+            for base in range(5):
+                assert extend_shadow(moved, R5, c, base).region_values[region] == base
+    assert d.shadow_plan[0] is steps
