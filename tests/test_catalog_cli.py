@@ -472,8 +472,6 @@ def test_cli_weighted_compare_builds_one_shadow_plan_per_diagram(capsys, monkeyp
     real = plan.func
     monkeypatch.setattr(plan, "func", lambda d: built.append(d) or real(d))
     run_json(capsys, "compare", "4_1", "5_1", "--quandle", "dihedral:5", "--weighted")
-    assert len(built) == 2
-    assert built[0] is not built[1]
     assert [d.n_crossings for d in built] == [4, 5]
 
 
