@@ -18,6 +18,7 @@ from .quandle import (
     enumerate_homs,
     from_table,
     identity_map,
+    is_affine_end,
     is_homomorphism,
     make_alexander,
     make_dihedral,
@@ -64,6 +65,7 @@ from .quiver import (
     WeightedQuiver,
     cocycle_polynomial,
     coloring_quiver,
+    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,

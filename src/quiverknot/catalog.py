@@ -3,9 +3,10 @@
 Entries carry a PD code plus recorded invariants used as a validation
 fingerprint: the knot determinant and the nontrivial elementary
 divisors of the coloring matrix (the first homology of the double
-branched cover).  A built-in entry is read once per process and built
-and checked against its fingerprint on first use, a user file's
-entries at load; dihedral coloring counts for any n follow from those
+branched cover).  The built-in entries are read once per process, and
+each is built and checked against its fingerprint once, the first time
+the process uses it; a user file's entries are built and checked at
+each load.  Dihedral coloring counts for any n follow from those
 divisors, so a corrupted PD code cannot silently feed the invariants.
 """
 
@@ -141,8 +142,17 @@ class Catalog:
         if name not in self.entries:
             raise CatalogError(f"unknown catalog entry {name!r}")
         if name not in self._diagrams:
-            self._diagrams[name] = _build_entry(self.entries[name])
+            entry = self.entries[name]
+            builtin = default_entries().get(name) is entry
+            self._diagrams[name] = _builtin_diagram(name) if builtin else _build_entry(entry)
         return self._diagrams[name]
+
+
+@functools.cache
+def _builtin_diagram(name: str) -> Diagram:
+    """A built-in entry's diagram, built and checked once per process and
+    shared by every catalog, so its cached shadow plan is kept too."""
+    return _build_entry(default_entries()[name])
 
 
 def _build_entry(entry: CatalogEntry) -> Diagram:

@@ -52,6 +52,7 @@ from .quandle import (
     check_order,
     enumerate_autos,
     enumerate_homs,
+    is_affine_end,
     make_alexander,
     make_dihedral,
     parse_table_text,
@@ -59,6 +60,7 @@ from .quandle import (
 from .quiver import (
     cocycle_polynomial,
     coloring_quiver,
+    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,
@@ -318,7 +320,10 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
 def cmd_compare(args, catalog: Catalog, started: float) -> int:
     (dA, dB), X, theta, base, (qA, qB) = _build_quivers(
         args, catalog, [args.knotA, args.knotB], args.weighted)
-    iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
+    if not args.weighted and is_affine_end(X, qA.endos):
+        iso, witness = end_quiver_isomorphic(dA, dB, qA, qB)
+    else:
+        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
     outputs: dict = {}
     if args.weighted:
         mA = _weight_multiset(dA, X, theta, base, qA)

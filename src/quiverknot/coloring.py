@@ -163,6 +163,11 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     runs for one value of the first arc and ``_backtrack`` adds the
     translates.  The driver's output is lexicographic in the relabelled
     order only, so the colorings are mapped back and sorted.
+
+    Known limitation: the rule reads no crossing sign, which is right
+    only when * is an involution (dihedral quandles, Alexander with
+    t^2 = 1).  Otherwise counts can change under a Reidemeister II move:
+    over alexander:7:3, 3_1 has 49 colorings and 3_1_kinked 7.
     """
     rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
     touching: list[list[int]] = [[] for _ in range(d.n_arcs)]
@@ -203,8 +208,9 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     return [Coloring(v) for v in sorted(tuple(s[p] for p in pos) for s in found)]
 
 
-def coloring_matrix(d: Diagram) -> ColoringMatrix:
-    """Rows encode under_in - 2*over + under_out = 0; coincident arcs sum."""
+def coloring_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """One row per crossing, under_in - 2*over + under_out = 0 over the
+    arcs: the R_n-coloring condition; coincident arcs sum."""
     rows = []
     for cr in d.crossings:
         row = [0] * d.n_arcs
@@ -212,8 +218,13 @@ def coloring_matrix(d: Diagram) -> ColoringMatrix:
         row[cr.over_arc] -= 2
         row[cr.under_out_arc] += 1
         rows.append(tuple(row))
-    divisors = smith_normal_form(rows, d.n_arcs)
-    return ColoringMatrix(tuple(rows), d.n_arcs, tuple(divisors))
+    return tuple(rows)
+
+
+def coloring_matrix(d: Diagram) -> ColoringMatrix:
+    """The coloring rows with their elementary divisors."""
+    rows = coloring_rows(d)
+    return ColoringMatrix(rows, d.n_arcs, tuple(smith_normal_form(rows, d.n_arcs)))
 
 
 def count_colorings_dihedral(d: Diagram, n: int) -> int:

@@ -358,6 +358,15 @@ def affine_endos(X: FiniteQuandle, pairs: Iterable[tuple[int, int]]) -> Homs:
                        for a, b in pairs))
 
 
+def is_affine_end(X: FiniteQuandle, maps: Sequence[QuandleMap]) -> bool:
+    """Whether X is a dihedral quandle R_n and ``maps`` are exactly its
+    n^2 maps x -> a*x + b, once each.  Those are all of End(R_n) for
+    n = 1..27, where the test suite checks ``enumerate_homs``."""
+    n = X.order
+    return X.is_dihedral and len(maps) == n * n and {f.image for f in maps} == {
+        tuple((a * x + b) % n for x in range(n)) for a in range(n) for b in range(n)}
+
+
 def identity_map(X: FiniteQuandle) -> QuandleMap:
     return QuandleMap(X.order, X.order, tuple(range(X.order)))
 

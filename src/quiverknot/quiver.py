@@ -26,8 +26,10 @@ edge, with no search.  Otherwise an iterative backtracking search on
 an explicit stack follows.  It keeps the candidates of each unmapped
 vertex as an int bitmask over the other quiver's vertices and cuts
 every mask with one ``&`` as each vertex is mapped, undoing the cuts
-from a trail on backtrack.  A returned witness is always verified edge
-by edge.
+from a trail on backtrack.  Quivers of two diagrams over R_n with all
+of End(R_n) need neither: ``end_quiver_isomorphic`` decides them from
+the diagrams' coloring modules.  A returned witness is always verified
+edge by edge.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
-from .coloring import Coloring, enumerate_colorings, extend_shadow
+from .coloring import Coloring, coloring_rows, enumerate_colorings, extend_shadow
 from .diagram import Diagram
 from .quandle import FiniteQuandle, Homs, InvalidParameterError, QuandleMap, is_homomorphism
+from .snf import kernel_basis_mod
 
 
 @dataclass(frozen=True)
@@ -485,6 +488,58 @@ def quiver_isomorphic(
     witness = tuple(mapping)
     if not _verify_witness(q1, q2, witness, respect_weights):
         raise AssertionError("isomorphism search returned an invalid witness")
+    return (True, witness)
+
+
+def end_quiver_isomorphic(
+    d1: Diagram, d2: Diagram, q1: WeightedQuiver, q2: WeightedQuiver
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The verdict of ``quiver_isomorphic(q1, q2)`` for the coloring
+    quivers q1 of d1 and q2 of d2 over R_n whose maps are the n^2 maps
+    x -> a*x + b (``is_affine_end``), read off the coloring modules with
+    no refinement or search.  The witness may differ from the search's.
+
+    The colorings of a diagram over R_n are the module M of solutions
+    of its ``coloring_rows`` over Z_n.  Every row sums to 0, so M holds
+    the constants Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M',
+    where M' holds the colorings with c(arc 0) = 0, the solutions of the
+    rows without arc 0's column, with basis ``kernel_basis_mod``.
+
+    Not isomorphic when the orders of the two bases differ.  Proof:
+    vertex c has the out-neighbours a·c + b·1 for (a, b) in Z_n^2, which
+    are |Z_n c + Z_n 1| = n·|Z_n [c]| distinct vertices, [c] being c's
+    part in M' (1 has order n and spans a summand).  An isomorphism keeps
+    each vertex's count of distinct out-neighbours, so it keeps how many
+    elements of M' have each order, and so, for every m, how many x in M'
+    have m·x = 0: the product of gcd(m, g) over the basis orders g.  For
+    each prime p, those counts at m = p, p^2, ... give the multiset of
+    the p-parts of the orders, so they fix the orders.
+
+    Isomorphic otherwise: the map phi with phi(1) = 1 that sends each
+    basis generator of d1 to d2's at the same place, of the same order,
+    is a module isomorphism M1 -> M2, and phi(a·c + b·1) = a·phi(c) + b·1
+    sends the out-edges of c onto those of phi(c).  Vertices are looked
+    up by their values, and the witness is verified edge by edge.
+    """
+    n = q1.endos[0].source_order
+    bases = [kernel_basis_mod([row[1:] for row in coloring_rows(d)], d.n_arcs - 1, n)
+             for d in (d1, d2)]
+    if [g for g, _ in bases[0]] != [g for g, _ in bases[1]]:
+        return (False, None)
+
+    def plus(c: tuple[int, ...], z: int, y: tuple[int, ...]) -> tuple[int, ...]:
+        """c + z·(0, y) over Z_n: y holds the values on arcs 1 onward."""
+        return c[:1] + tuple((u + z * v) % n for u, v in zip(c[1:], y))
+
+    # Every (c, phi(c)): the constants, then each generator's multiples added.
+    pairs = [((b,) * d1.n_arcs, (b,) * d2.n_arcs) for b in range(n)]
+    for (g, y1), (_, y2) in zip(*bases):
+        pairs = [(plus(c1, z, y1), plus(c2, z, y2)) for z in range(g) for c1, c2 in pairs]
+    phi = dict(pairs)
+    position = {c.values: w for w, c in enumerate(q2.vertices)}
+    witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
+    if not _verify_witness(q1, q2, witness, False):
+        raise AssertionError("the coloring module map is not a quiver isomorphism")
     return (True, witness)
 
 

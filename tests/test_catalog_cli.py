@@ -117,6 +117,37 @@ def test_user_entries_stay_in_their_catalog(tmp_path, monkeypatch, catalog):
     assert plain.diagram("4_1").n_crossings == 4
 
 
+@pytest.fixture
+def unbuilt_builtins():
+    """No built-in diagram built yet, as in a fresh process: built-ins
+    are built once per process, so a test that counts builds or cached
+    plans within a call starts from an empty cache."""
+    quiverknot.catalog._builtin_diagram.cache_clear()
+
+
+def test_builtin_diagrams_are_built_once_per_process(
+        capsys, monkeypatch, tmp_path, unbuilt_builtins):
+    calls = []
+    real = quiverknot.catalog._build_entry
+    monkeypatch.setattr(quiverknot.catalog, "_build_entry",
+                        lambda entry: calls.append(entry.name) or real(entry))
+    monkeypatch.delenv("QUIVERKNOT_CATALOG", raising=False)
+    for _ in range(3):
+        blob = run_json(capsys, "colorings", "--knot", "8_10", "--quandle", "dihedral:3")
+        assert blob["outputs"]["count"] == 9
+    assert calls == ["8_10"]
+    # A user entry is input from outside: built and checked at every load,
+    # and never taken for the built-in of the same name.
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps({"8_10": {"pd": load_catalog().entries["3_1"].pd,
+                                         "determinant": 3}}))
+    monkeypatch.setenv("QUIVERKNOT_CATALOG", str(path))
+    for _ in range(2):
+        blob = run_json(capsys, "colorings", "--knot", "8_10", "--quandle", "dihedral:9")
+        assert blob["outputs"]["count"] == 27
+    assert calls == ["8_10"] * 3
+
+
 def test_builtin_entries_are_read_once(monkeypatch):
     load_catalog()
     calls = []
@@ -334,6 +365,33 @@ def test_cli_compare(capsys):
     assert blob["outputs"]["multisets"]["equal"] is False
 
 
+def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeypatch, tmp_path):
+    # The module path is chosen from S itself: the n^2 maps x -> a*x + b
+    # of a dihedral quandle, unweighted.  Everything else is searched.
+    calls = []
+    for name in ("quiver_isomorphic", "end_quiver_isomorphic"):
+        real = getattr(quiverknot.cli, name)
+        monkeypatch.setattr(quiverknot.cli, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    path = tmp_path / "r5.txt"
+    path.write_text(table_text(make_dihedral(5)))
+    every_pair = ";".join(f"{a},{b}" for a in range(5) for b in range(5))
+    cases = [
+        ("dihedral:5", ["--endos", "all"], "end_quiver_isomorphic"),
+        ("dihedral:5", ["--endos", every_pair], "end_quiver_isomorphic"),
+        ("dihedral:5", ["--endos", "auto"], "quiver_isomorphic"),
+        ("dihedral:5", ["--endos", "1,0;2,1"], "quiver_isomorphic"),
+        ("dihedral:5", ["--endos", every_pair + ";1,0"], "quiver_isomorphic"),
+        ("dihedral:5", ["--endos", "all", "--weighted"], "quiver_isomorphic"),
+        ("alexander:5:2", ["--endos", "all"], "quiver_isomorphic"),
+        (f"table:{path}", ["--endos", "all"], "quiver_isomorphic"),
+    ]
+    for spec, extra, want in cases:
+        calls.clear()
+        run_json(capsys, "compare", "4_1", "5_1", "--quandle", spec, *extra)
+        assert calls == [want], (spec, extra)
+
+
 def test_cli_deterministic_output(capsys):
     def snap():
         blob = run_json(capsys, "shadow", "--knot", "5_2", "--quandle", "dihedral:3",
@@ -464,7 +522,8 @@ def test_cli_weighted_compare_extends_each_shadow_once_per_base(capsys, monkeypa
             assert blob["outputs"]["multisets"][side] == multiset_to_json(full)
 
 
-def test_cli_weighted_compare_builds_one_shadow_plan_per_diagram(capsys, monkeypatch):
+def test_cli_weighted_compare_builds_one_shadow_plan_per_diagram(
+        capsys, monkeypatch, unbuilt_builtins):
     from quiverknot.diagram import Diagram
 
     plan = Diagram.__dict__["shadow_plan"]
@@ -644,7 +703,7 @@ def test_cli_deeply_nested_catalog_is_data_error(capsys, tmp_path, monkeypatch):
     assert str(path) in err
 
 
-def test_cli_builds_only_the_catalog_diagram_it_names(capsys, monkeypatch):
+def test_cli_builds_only_the_catalog_diagram_it_names(capsys, monkeypatch, unbuilt_builtins):
     from quiverknot import catalog as catalog_module
 
     built = []

@@ -15,7 +15,7 @@ from quiverknot.catalog import load_catalog
 from quiverknot.cli import parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import invariant_multiset, mochizuki
 from quiverknot.coloring import apply_endo, enumerate_colorings
-from quiverknot.diagram import unknot_diagram
+from quiverknot.diagram import build_diagram, parse_pd, unknot_diagram
 from quiverknot.quandle import (
     InvalidParameterError,
     QuandleMap,
@@ -23,6 +23,7 @@ from quiverknot.quandle import (
     enumerate_homs,
     from_table,
     identity_map,
+    is_affine_end,
     is_homomorphism,
     make_alexander,
     make_dihedral,
@@ -36,12 +37,14 @@ from quiverknot.quiver import (
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
+    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_json_chunks,
     quiver_to_json,
     shadow_cocycle_quiver,
     to_dot,
 )
+from pd_generators import meridian_chain_pd, relabel_pd, torus_pd
 
 
 @pytest.fixture(scope="module")
@@ -720,6 +723,61 @@ def test_large_self_compare_returns_the_identity(catalog):
     iso, witness = quiver_isomorphic(q, q)
     assert iso and witness == tuple(range(675))
     assert _verify_witness(q, q, witness, False)
+
+
+def module_verdicts_against_search(diagrams, orders):
+    """Every ordered pair of the diagrams' End(R_n)-quivers: the module
+    verdict must be the search's, and each module witness must be an
+    isomorphism, the identity on a self-compare.  Returns the verdicts."""
+    verdicts = Counter()
+    for n in orders:
+        X = make_dihedral(n)
+        end = enumerate_homs(X, X)
+        quivers = [coloring_quiver(d, X, end) for d in diagrams]
+        for (da, qa), (db, qb) in product(zip(diagrams, quivers), repeat=2):
+            iso, witness = end_quiver_isomorphic(da, db, qa, qb)
+            assert iso == quiver_isomorphic(qa, qb)[0], (n, qa.n_vertices, qb.n_vertices)
+            assert iso == (witness is not None)
+            if iso:
+                assert _verify_witness(qa, qb, witness, False)
+            if da is db:
+                assert witness == tuple(range(qa.n_vertices))
+            verdicts[iso, qa.n_vertices == qb.n_vertices] += 1
+    return verdicts
+
+
+def test_module_verdicts_match_the_search_on_catalog_pairs(catalog):
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    verdicts = module_verdicts_against_search(diagrams, range(1, 16))
+    assert sum(verdicts.values()) == 15 * 12 * 12
+    # Pairs of equal size with unequal module types are among them.
+    assert verdicts[True, True] and verdicts[False, True] and verdicts[False, False]
+
+
+def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
+    # M = <1> + M' must hold for links too: T(2,k) has two components
+    # for even k, and a chain of m meridian loops m + 1.  Relabelled
+    # knots give pairs whose witness is not the identity.
+    texts = [torus_pd(k) for k in range(2, 13)] + [meridian_chain_pd(m) for m in range(1, 5)]
+    rng = random.Random(20)
+    for pd in (catalog.entries["8_18"].pd, catalog.entries["6_1"].pd, torus_pd(9)):
+        texts.append(relabel_pd(parse_pd(pd).crossings, rng)[0])
+    diagrams = [build_diagram(parse_pd(text)) for text in texts]
+    verdicts = module_verdicts_against_search(diagrams, (2, 3, 4, 6, 8, 9, 12))
+    assert verdicts[True, True] and verdicts[False, True]
+
+
+def test_end_of_a_dihedral_quandle_is_its_affine_maps():
+    for n in range(1, 28):
+        X = make_dihedral(n)
+        assert is_affine_end(X, enumerate_homs(X, X)), n
+    R5 = make_dihedral(5)
+    assert not is_affine_end(R5, enumerate_autos(R5))
+    assert not is_affine_end(R5, parse_endo_spec("1,0;2,0", R5))
+    # the same maps over a quandle that is not dihedral by kind
+    assert not is_affine_end(from_table(R5.op), enumerate_homs(R5, R5))
+    A = make_alexander(5, 2)
+    assert not is_affine_end(A, enumerate_homs(A, A))
 
 
 def brute_force_isomorphic(q1, q2, respect_weights):
