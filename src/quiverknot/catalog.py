@@ -141,10 +141,11 @@ class Catalog:
     def diagram(self, name: str) -> Diagram:
         if name not in self.entries:
             raise CatalogError(f"unknown catalog entry {name!r}")
+        entry = self.entries[name]
+        if default_entries().get(name) is entry:
+            return _builtin_diagram(name)
         if name not in self._diagrams:
-            entry = self.entries[name]
-            builtin = default_entries().get(name) is entry
-            self._diagrams[name] = _builtin_diagram(name) if builtin else _build_entry(entry)
+            self._diagrams[name] = _build_entry(entry)
         return self._diagrams[name]
 
 
