@@ -52,7 +52,6 @@ from .quandle import (
     check_order,
     enumerate_autos,
     enumerate_homs,
-    is_affine_end,
     make_alexander,
     make_dihedral,
     parse_table_text,
@@ -60,7 +59,6 @@ from .quandle import (
 from .quiver import (
     cocycle_polynomial,
     coloring_quiver,
-    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,
@@ -320,10 +318,7 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
 def cmd_compare(args, catalog: Catalog, started: float) -> int:
     (dA, dB), X, theta, base, (qA, qB) = _build_quivers(
         args, catalog, [args.knotA, args.knotB], args.weighted)
-    if not args.weighted and is_affine_end(X, qA.endos):
-        iso, witness = end_quiver_isomorphic(dA, dB, qA, qB)
-    else:
-        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
+    iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=(X, dA, dB))
     outputs: dict = {}
     if args.weighted:
         mA = _weight_multiset(dA, X, theta, base, qA)

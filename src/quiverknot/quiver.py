@@ -28,8 +28,9 @@ vertex as an int bitmask over the other quiver's vertices and cuts
 every mask with one ``&`` as each vertex is mapped, undoing the cuts
 from a trail on backtrack.  Quivers of two diagrams over R_n with all
 of End(R_n) need neither: ``end_quiver_isomorphic`` decides them from
-the diagrams' coloring modules.  A returned witness is always verified
-edge by edge.
+the diagrams' coloring modules, and ``quiver_isomorphic`` takes that
+path when it is given the quandle and the diagrams.  A returned witness
+is always verified edge by edge.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from typing import Iterator, Optional, Sequence
 from .cocycle import Cocycle3, weight_sum
 from .coloring import Coloring, coloring_rows, enumerate_colorings, extend_shadow
 from .diagram import Diagram
-from .quandle import FiniteQuandle, Homs, InvalidParameterError, QuandleMap, is_homomorphism
+from .quandle import (
+    FiniteQuandle,
+    Homs,
+    InvalidParameterError,
+    QuandleMap,
+    is_affine_end,
+    is_homomorphism,
+)
 from .snf import kernel_basis_mod
 
 
@@ -448,7 +456,8 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
 
 
 def quiver_isomorphic(
-    q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False
+    q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False,
+    over: Optional[tuple[FiniteQuandle, Diagram, Diagram]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide directed-multigraph isomorphism, ignoring edge labels.
 
@@ -456,9 +465,18 @@ def quiver_isomorphic(
     exactly.  Returns (True, mapping) with mapping[v1] = v2 on success,
     (False, None) otherwise.  The witness is verified edge by edge
     before being returned.
+
+    ``over`` = (X, d1, d2) names the quandle and the diagrams the
+    quivers were built from.  With it, an unweighted compare whose maps
+    are all n^2 maps x -> a*x + b of R_n (``is_affine_end``) is decided
+    by ``end_quiver_isomorphic``, whose witness may differ from the
+    search's; every other compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
+    if over is not None and not respect_weights and all(
+            is_affine_end(over[0], q.endos) for q in (q1, q2)):
+        return end_quiver_isomorphic(over[1], over[2], q1, q2)
     if respect_weights:
         if q1.weights is None or q2.weights is None:
             raise InvalidParameterError("both quivers need weights to compare them")

@@ -14,6 +14,7 @@ import pytest
 
 import quiverknot
 import quiverknot.catalog
+import quiverknot.quiver
 from quiverknot.catalog import CatalogError, load_catalog
 from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
@@ -366,12 +367,16 @@ def test_cli_compare(capsys):
 
 
 def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeypatch, tmp_path):
-    # The module path is chosen from S itself: the n^2 maps x -> a*x + b
-    # of a dihedral quandle, unweighted.  Everything else is searched.
+    # Every compare decides through one quiver_isomorphic call, which
+    # takes the module path from S itself: the n^2 maps x -> a*x + b of
+    # a dihedral quandle, unweighted.  Everything else is refined and
+    # searched.
     calls = []
-    for name in ("quiver_isomorphic", "end_quiver_isomorphic"):
-        real = getattr(quiverknot.cli, name)
-        monkeypatch.setattr(quiverknot.cli, name, lambda *a, _real=real, _name=name, **k:
+    for module, name in ((quiverknot.cli, "quiver_isomorphic"),
+                         (quiverknot.quiver, "end_quiver_isomorphic"),
+                         (quiverknot.quiver, "_joint_refine")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **k:
                             calls.append(_name) or _real(*a, **k))
     path = tmp_path / "r5.txt"
     path.write_text(table_text(make_dihedral(5)))
@@ -379,17 +384,18 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
     cases = [
         ("dihedral:5", ["--endos", "all"], "end_quiver_isomorphic"),
         ("dihedral:5", ["--endos", every_pair], "end_quiver_isomorphic"),
-        ("dihedral:5", ["--endos", "auto"], "quiver_isomorphic"),
-        ("dihedral:5", ["--endos", "1,0;2,1"], "quiver_isomorphic"),
-        ("dihedral:5", ["--endos", every_pair + ";1,0"], "quiver_isomorphic"),
-        ("dihedral:5", ["--endos", "all", "--weighted"], "quiver_isomorphic"),
-        ("alexander:5:2", ["--endos", "all"], "quiver_isomorphic"),
-        (f"table:{path}", ["--endos", "all"], "quiver_isomorphic"),
+        ("dihedral:5", ["--endos", "auto"], "_joint_refine"),
+        ("dihedral:5", ["--endos", "1,0;2,1"], "_joint_refine"),
+        ("dihedral:5", ["--endos", every_pair + ";1,0"], "_joint_refine"),
+        ("dihedral:5", ["--endos", "all", "--weighted"], "_joint_refine"),
+        ("alexander:5:2", ["--endos", "all"], "_joint_refine"),
+        (f"table:{path}", ["--endos", "all"], "_joint_refine"),
     ]
     for spec, extra, want in cases:
         calls.clear()
-        run_json(capsys, "compare", "4_1", "5_1", "--quandle", spec, *extra)
-        assert calls == [want], (spec, extra)
+        # A self-compare, so that no size mismatch answers first.
+        run_json(capsys, "compare", "4_1", "4_1", "--quandle", spec, *extra)
+        assert calls == ["quiver_isomorphic", want], (spec, extra)
 
 
 def test_cli_deterministic_output(capsys):
