@@ -7,9 +7,10 @@ edge from its right side to its left side acts by the edge's arc label:
 ``c(left) == c(right) * c(arc)``.
 
 Enumeration is a depth-first search over arcs with unit propagation,
-branching in a fail-first order; counting over dihedral quandles goes
-through the integer Smith normal form of the linearized crossing
-relations (x + z - 2y = 0 over Z_n).
+branching in a fail-first order; counting over dihedral quandles reads
+the elementary divisors of the linearized crossing relations
+(x + z - 2y = 0 over Z_n) off ``Diagram.coloring_reduction``, which
+eliminates once per diagram.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .diagram import Diagram
+from .diagram import Diagram, coloring_rows
 from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack, check_order
-from .snf import smith_normal_form, solution_count_mod
+from .snf import solution_count_mod
 
 
 class ShadowConflictError(RuntimeError):
@@ -208,30 +209,20 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     return [Coloring(v) for v in sorted(tuple(s[p] for p in pos) for s in found)]
 
 
-def coloring_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """One row per crossing, under_in - 2*over + under_out = 0 over the
-    arcs: the R_n-coloring condition; coincident arcs sum."""
-    rows = []
-    for cr in d.crossings:
-        row = [0] * d.n_arcs
-        row[cr.under_in_arc] += 1
-        row[cr.over_arc] -= 2
-        row[cr.under_out_arc] += 1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def coloring_matrix(d: Diagram) -> ColoringMatrix:
-    """The coloring rows with their elementary divisors."""
-    rows = coloring_rows(d)
-    return ColoringMatrix(rows, d.n_arcs, tuple(smith_normal_form(rows, d.n_arcs)))
+    """The coloring rows with their elementary divisors: those of
+    ``d.coloring_reduction`` followed by zeros, up to min(crossings, arcs)."""
+    divisors = d.coloring_reduction[0]
+    size = min(d.n_crossings, d.n_arcs)
+    return ColoringMatrix(coloring_rows(d), d.n_arcs,
+                          divisors + (0,) * (size - len(divisors)))
 
 
 def count_colorings_dihedral(d: Diagram, n: int) -> int:
-    """|Col_{R_n}(D)| via the Smith normal form of the coloring matrix."""
+    """|Col_{R_n}(D)| = n·|M'|, the constants times the colorings with
+    c(arc 0) = 0, counted from ``d.coloring_reduction``'s divisors."""
     check_order(n)
-    mat = coloring_matrix(d)
-    return solution_count_mod(mat.elementary_divisors, mat.n_arcs, n)
+    return n * solution_count_mod(d.coloring_reduction[0], d.n_arcs - 1, n)
 
 
 def apply_endo(f: QuandleMap, c: Coloring) -> Coloring:

@@ -33,6 +33,8 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from .snf import smith_transform
+
 
 class ParseError(ValueError):
     """Malformed PD text.  ``position`` is a character offset when known."""
@@ -91,13 +93,15 @@ class Diagram:
     pairs.  Immutable after construction and safe to share between
     threads.
 
-    Two derived tables are computed on first read and cached on the
+    Three derived tables are computed on first read and cached on the
     object: ``shadow_plan`` (the region propagation order of a shadow
-    extension) and ``crossing_terms`` (what each crossing's cocycle
-    weight reads).  They live and die with the diagram, and
-    ``with_r_infinity`` returns a fresh object that computes its own.  Two
-    concurrent first reads at worst compute the same value twice, so a
-    diagram stays safe to share.
+    extension), ``crossing_terms`` (what each crossing's cocycle weight
+    reads) and ``coloring_reduction`` (the one elimination of the
+    coloring rows, which the fingerprint, every R_n count and every
+    End(R_n)-quiver compare read).  They live and die with the diagram,
+    and ``with_r_infinity`` returns a fresh object that computes its own.
+    Two concurrent first reads at worst compute the same value twice, so
+    a diagram stays safe to share.
     """
 
     pd: PDCode
@@ -173,6 +177,25 @@ class Diagram:
             (cr.sign, cr.corner_regions[3 if cr.sign > 0 else 0], cr.under_in_arc, cr.over_arc)
             for cr in self.crossings
         )
+
+    @functools.cached_property
+    def coloring_reduction(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(divisors, V)``: ``smith_transform`` of the ``coloring_rows``
+        without arc 0's column, with V's rows as tuples.
+
+        Over Z_n the R_n-colorings are the module M of solutions of the
+        coloring rows.  Every row sums to 0, so M holds the constants
+        Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M', where M'
+        holds the colorings with c(arc 0) = 0, the solutions of the rows
+        without arc 0's column.  So |M| = n·|M'|, and
+        ``snf.kernel_basis_from_transform`` reads a basis of M' off V for
+        any n.  Column 0 is minus the sum of the others, so the full
+        matrix's elementary divisors are these ``divisors`` followed by
+        zeros, up to min(crossings, arcs).  The reduction reads no n.
+        """
+        rows = [row[1:] for row in coloring_rows(self)]
+        divisors, V = smith_transform(rows, self.n_arcs - 1)
+        return tuple(divisors), tuple(map(tuple, V))
 
     def with_r_infinity(self, region: int) -> "Diagram":
         """The same diagram with a different face designated unbounded.
@@ -484,6 +507,19 @@ def emit_pd(d: Diagram) -> str:
     if not d.crossings:
         return "unknot"
     return " ".join("X({},{},{},{})".format(*cr.pd) for cr in d.crossings)
+
+
+def coloring_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """One row per crossing, under_in - 2*over + under_out = 0 over the
+    arcs: the R_n-coloring condition; coincident arcs sum."""
+    rows = []
+    for cr in d.crossings:
+        row = [0] * d.n_arcs
+        row[cr.under_in_arc] += 1
+        row[cr.over_arc] -= 2
+        row[cr.under_out_arc] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def crossing_relation(d: Diagram, k: int) -> tuple[int, int, int]:

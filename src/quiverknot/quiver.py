@@ -43,7 +43,7 @@ from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
-from .coloring import Coloring, coloring_rows, enumerate_colorings, extend_shadow
+from .coloring import Coloring, enumerate_colorings, extend_shadow
 from .diagram import Diagram
 from .quandle import (
     FiniteQuandle,
@@ -53,7 +53,7 @@ from .quandle import (
     is_affine_end,
     is_homomorphism,
 )
-from .snf import kernel_basis_mod
+from .snf import kernel_basis_from_transform
 
 
 @dataclass(frozen=True)
@@ -517,11 +517,11 @@ def end_quiver_isomorphic(
     x -> a*x + b (``is_affine_end``), read off the coloring modules with
     no refinement or search.  The witness may differ from the search's.
 
-    The colorings of a diagram over R_n are the module M of solutions
-    of its ``coloring_rows`` over Z_n.  Every row sums to 0, so M holds
-    the constants Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M',
-    where M' holds the colorings with c(arc 0) = 0, the solutions of the
-    rows without arc 0's column, with basis ``kernel_basis_mod``.
+    The colorings of a diagram over R_n are the module M = <1> + M',
+    where M' holds the colorings with c(arc 0) = 0; the docstring of
+    ``Diagram.coloring_reduction`` gives the argument.  A basis of M' is
+    read off each diagram's cached reduction by
+    ``kernel_basis_from_transform``, with no elimination.
 
     Not isomorphic when the orders of the two bases differ.  Proof:
     vertex c has the out-neighbours a·c + b·1 for (a, b) in Z_n^2, which
@@ -540,8 +540,7 @@ def end_quiver_isomorphic(
     up by their values, and the witness is verified edge by edge.
     """
     n = q1.endos[0].source_order
-    bases = [kernel_basis_mod([row[1:] for row in coloring_rows(d)], d.n_arcs - 1, n)
-             for d in (d1, d2)]
+    bases = [kernel_basis_from_transform(*d.coloring_reduction, n) for d in (d1, d2)]
     if [g for g, _ in bases[0]] != [g for g, _ in bases[1]]:
         return (False, None)
 

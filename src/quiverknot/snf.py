@@ -2,6 +2,13 @@
 
 Entries of coloring matrices start tiny (at most 2 in absolute value)
 but intermediate values may grow; Python integers make every step exact.
+
+In the package one caller eliminates: ``Diagram.coloring_reduction``
+runs ``smith_transform`` once per diagram, and counts and module bases
+are read off its result with ``solution_count_mod`` and
+``kernel_basis_from_transform``.  ``smith_normal_form`` and
+``kernel_basis_mod`` eliminate any matrix they are given; the tests use
+them as the reference.
 """
 
 from __future__ import annotations
@@ -114,19 +121,27 @@ def solution_count_mod(divisors: Sequence[int], ncols: int, n: int) -> int:
 def kernel_basis_mod(rows: Sequence[Sequence[int]], ncols: int,
                      n: int) -> list[tuple[int, tuple[int, ...]]]:
     """A basis of the module of solutions of A y = 0 over Z_n, as
-    (order, generator) pairs, orders above 1 only and each dividing the next.
-
-    With U·A·V = D (``smith_transform``), y = V z solves A y = 0 exactly
-    when d_i z_i = 0 for every i, taking d_i = 0 past the diagonal,
-    because U is invertible over Z_n.  That holds exactly when z_i is a
-    multiple of n / g_i, g_i = gcd(d_i, n), so the solutions are the
-    direct sum of the cyclic modules generated by (n / g_i)·V e_i.  V is
-    unimodular, so V e_i has coprime entries and that generator has
-    order g_i.  The chain d_i | d_{i+1}, zeros last, orders the g_i.
+    (order, generator) pairs, orders above 1 only and each dividing the
+    next: ``kernel_basis_from_transform`` of ``smith_transform(rows, ncols)``.
     """
-    diagonal, V = smith_transform(rows, ncols)
+    return kernel_basis_from_transform(*smith_transform(rows, ncols), n)
+
+
+def kernel_basis_from_transform(diagonal: Sequence[int], V: Sequence[Sequence[int]],
+                                n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The basis of ``kernel_basis_mod`` read off ``smith_transform``'s
+    (diagonal, V) for A, with no elimination.
+
+    With U·A·V = D, y = V z solves A y = 0 exactly when d_i z_i = 0 for
+    every i, taking d_i = 0 past the diagonal, because U is invertible
+    over Z_n.  That holds exactly when z_i is a multiple of n / g_i,
+    g_i = gcd(d_i, n), so the solutions are the direct sum of the cyclic
+    modules generated by (n / g_i)·V e_i.  V is unimodular, so V e_i has
+    coprime entries and that generator has order g_i.  The chain
+    d_i | d_{i+1}, zeros last, orders the g_i.
+    """
     basis = []
-    for i, d in enumerate(diagonal + [0] * (ncols - len(diagonal))):
+    for i, d in enumerate(list(diagonal) + [0] * (len(V) - len(diagonal))):
         g = math.gcd(d, n)
         if g > 1:
             basis.append((g, tuple(n // g * row[i] % n for row in V)))

@@ -15,6 +15,7 @@ import pytest
 import quiverknot
 import quiverknot.catalog
 import quiverknot.quiver
+import quiverknot.snf
 from quiverknot.catalog import CatalogError, load_catalog
 from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
@@ -147,6 +148,28 @@ def test_builtin_diagrams_are_built_once_per_process(
         blob = run_json(capsys, "colorings", "--knot", "8_10", "--quandle", "dihedral:9")
         assert blob["outputs"]["count"] == 27
     assert calls == ["8_10"] * 3
+
+
+def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
+    # The fingerprint, every R_n count and every End(R_n) compare of a
+    # diagram read its one cached coloring_reduction.
+    calls = []
+    real = quiverknot.snf._eliminate
+    monkeypatch.setattr(quiverknot.snf, "_eliminate",
+                        lambda *a: calls.append(len(a[0])) or real(*a))
+    monkeypatch.delenv("QUIVERKNOT_CATALOG", raising=False)
+    load_catalog().diagram("8_18")
+    blob = run_json(capsys, "colorings", "--knot", "8_18", "--quandle", "dihedral:15", "--count")
+    assert blob["outputs"]["count"] == 675
+    blob = run_json(capsys, "compare", "8_18", "8_18", "--quandle", "dihedral:5", "--endos", "all")
+    assert blob["outputs"]["isomorphic"] is True
+    assert calls == [8]
+    # Each PD text argument builds its own Diagram, reduced once.
+    calls.clear()
+    pd = load_catalog().entries["8_18"].pd
+    blob = run_json(capsys, "compare", pd, pd, "--quandle", "dihedral:5", "--endos", "all")
+    assert blob["outputs"]["witness"] == list(range(25))
+    assert calls == [8, 8]
 
 
 def test_builtin_entries_are_read_once(monkeypatch):

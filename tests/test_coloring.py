@@ -33,6 +33,7 @@ from quiverknot.quandle import (
 )
 from quiverknot.snf import kernel_basis_mod, smith_normal_form, smith_transform, solution_count_mod
 from pd_generators import meridian_chain_pd, relabel_pd, torus_pd, trefoil_sum_pd
+from test_diagram import KINKS
 from test_quandle import Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -455,12 +456,22 @@ def test_coloring_matrix_shape(catalog):
 
 
 def test_snf_count_equals_enumeration(catalog):
-    for name in ("unknot", "3_1", "3_1_kinked", "4_1", "5_2"):
-        d = catalog.diagram(name)
-        for n in range(2, 7):
-            assert count_colorings_dihedral(d, n) == len(
-                enumerate_colorings(d, make_dihedral(n))
-            )
+    # Every diagram's one cached reduction drops arc 0's column: its
+    # divisors, zero-padded, must be the dense Smith form of the full
+    # matrix, and n times its count over Z_n must be the enumerated count.
+    texts = [torus_pd(k) for k in range(2, 62)]
+    texts += [meridian_chain_pd(m) for m in range(1, 7)] + list(KINKS)
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    diagrams += [build_diagram(parse_pd(text)) for text in texts]
+    for d in diagrams:
+        divisors = d.coloring_reduction[0]
+        full = smith_normal_form(coloring_rows(d), d.n_arcs)
+        assert list(divisors) + [0] * (len(full) - len(divisors)) == full
+        assert coloring_matrix(d).elementary_divisors == tuple(full)
+        for n in range(2, 14):
+            count = n * solution_count_mod(divisors, d.n_arcs - 1, n)
+            enumerated = len(enumerate_colorings(d, make_dihedral(n)))
+            assert count_colorings_dihedral(d, n) == count == enumerated, (d.pd, n)
 
 
 def test_crt_factorization(catalog):
