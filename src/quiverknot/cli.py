@@ -226,8 +226,10 @@ def _build_quivers(args, catalog: Catalog, knots: list[str], weighted: bool):
     """Resolve the knots, the quandle, the endomorphisms and the cocycle
     and base, in that order; return the diagrams, X, theta, the base and
     one quiver per knot.  theta and the base are None unless weighted, and
-    then an explicit ``--cocycle`` or ``--base`` is an error."""
-    diagrams = [resolve_knot(knot, catalog) for knot in knots]
+    then an explicit ``--cocycle`` or ``--base`` is an error.  A knot named
+    twice is resolved once and gets one diagram and one quiver."""
+    resolved = {knot: resolve_knot(knot, catalog) for knot in knots}
+    diagrams = [resolved[knot] for knot in knots]
     X = parse_quandle_spec(args.quandle)
     S = parse_endo_spec(args.endos, X)
     if not weighted:
@@ -235,10 +237,13 @@ def _build_quivers(args, catalog: Catalog, knots: list[str], weighted: bool):
                  if getattr(args, name, None) is not None]
         if given:
             raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
-        return diagrams, X, None, None, [coloring_quiver(d, X, S) for d in diagrams]
-    theta, base = _cocycle(args, X)
-    return diagrams, X, theta, base, [shadow_cocycle_quiver(d, X, S, base, theta)
-                                      for d in diagrams]
+        theta = base = None
+        quivers = {knot: coloring_quiver(d, X, S) for knot, d in resolved.items()}
+    else:
+        theta, base = _cocycle(args, X)
+        quivers = {knot: shadow_cocycle_quiver(d, X, S, base, theta)
+                   for knot, d in resolved.items()}
+    return diagrams, X, theta, base, [quivers[knot] for knot in knots]
 
 
 def _weight_multiset(d: Diagram, X: FiniteQuandle, theta: Cocycle3, base: int,

@@ -14,6 +14,10 @@ the row of a predecessor (``coloring_quiver``) instead of being looked
 up vertex by vertex.  Building, writing and comparing the quiver come
 down to gathers from that table; each one runs in C through
 ``operator.itemgetter`` (``_gather``), not element by element in Python.
+The JSON and DOT writers spell each vertex's out-edges as one join over
+a piece list made once per quiver, refilled per vertex by two slice
+assignments: the vertex's prefix, and its column of targets gathered
+into their names (``_vertex_texts``).
 
 Quiver isomorphism is directed-multigraph isomorphism, ignoring the
 endomorphism labels on edges and optionally requiring vertex weights to
@@ -537,7 +541,9 @@ def end_quiver_isomorphic(
     basis generator of d1 to d2's at the same place, of the same order,
     is a module isomorphism M1 -> M2, and phi(a·c + b·1) = a·phi(c) + b·1
     sends the out-edges of c onto those of phi(c).  Vertices are looked
-    up by their values, and the witness is verified edge by edge.
+    up by their values, and the witness is verified edge by edge, with
+    the labels: for every map f it must carry q1's row of f onto q2's
+    (``_keeps_rows``).
     """
     n = q1.endos[0].source_order
     bases = [kernel_basis_from_transform(*d.coloring_reduction, n) for d in (d1, d2)]
@@ -555,9 +561,23 @@ def end_quiver_isomorphic(
     phi = dict(pairs)
     position = {c.values: w for w, c in enumerate(q2.vertices)}
     witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
-    if not _verify_witness(q1, q2, witness, False):
+    if not _keeps_rows(q1, q2, witness):
         raise AssertionError("the coloring module map is not a quiver isomorphism")
     return (True, witness)
+
+
+def _keeps_rows(q1: WeightedQuiver, q2: WeightedQuiver, w: tuple[int, ...]) -> bool:
+    """Whether w is a bijection of the vertices that sends every edge of
+    q1 to the edge of q2 with the same map: w[targets1[f][v]] =
+    targets2[f][w[v]] for each map f and vertex v.  The rows are paired
+    by the maps' images, which must be distinct and the same in both
+    quivers, as for the n^2 maps of ``is_affine_end``."""
+    n = q1.n_vertices
+    rows1, rows2 = ({f.image: row for f, row in zip(q.endos, q.targets)} for q in (q1, q2))
+    if (q2.n_vertices != n or sorted(w) != list(range(n)) or rows1.keys() != rows2.keys()
+            or not len(rows1) == len(q1.targets) == len(q2.targets)):
+        return False
+    return all(_gather(w, row) == _gather(rows2[image], w) for image, row in rows1.items())
 
 
 def _verify_witness(
@@ -587,7 +607,9 @@ def cocycle_polynomial(q: WeightedQuiver) -> Polynomial2:
 def dot_chunks(q: WeightedQuiver, collapse_parallel: bool = False) -> Iterator[str]:
     """The DOT text of ``to_dot`` in pieces that join with newlines: the
     header, the vertex lines, then each vertex's out-edge lines, read
-    from its column of the target table."""
+    from its column of the target table (``_vertex_texts``): per row,
+    ``  vN -> v``, the target's name and the row's label, which ends in a
+    newline on every row but the last."""
     if q.n_vertices == 0:
         yield "digraph { }"
         return
@@ -597,16 +619,18 @@ def dot_chunks(q: WeightedQuiver, collapse_parallel: bool = False) -> Iterator[s
     else:
         yield "\n".join(f'  v{i} [label="{i}"];' for i in range(q.n_vertices))
     names = list(map(str, range(q.n_vertices)))
-    labels = [f' [label="f{e}"];' for e in range(len(q.targets))]
-    for src, row in enumerate(zip(*q.targets)):
-        head = f"  v{src} -> v"
-        if collapse_parallel:
+    if collapse_parallel:
+        for src, col in enumerate(zip(*q.targets)):
+            head = f"  v{src} -> v"
             yield "\n".join(
                 head + names[dst] + (f' [label="x{count}"];' if count > 1 else ";")
-                for dst, count in sorted(Counter(row).items())
+                for dst, count in sorted(Counter(col).items())
             )
-        else:
-            yield "\n".join([head + names[dst] + label for dst, label in zip(row, labels)])
+    else:
+        labels = [f' [label="f{e}"];\n' for e in range(len(q.targets))]
+        if labels:
+            labels[-1] = labels[-1][:-1]
+        yield from _vertex_texts(q, names, (f"  v{name} -> v" for name in names), labels)
     yield "}"
 
 
@@ -655,13 +679,27 @@ def quiver_json_chunks(q: WeightedQuiver) -> Iterator[str]:
     """The text of ``json.dumps(quiver_to_json(q))`` in pieces, with no
     edge list built: one piece per vertex holds its out-edges, spelled
     ``[v, target, row]`` as ``json.dumps`` spells them, read from the
-    vertex's column of the target table.  The piece is one template,
-    ``[v, %s, e]`` per row e, with the vertex put in and the target
-    names gathered into the ``%s`` slots."""
+    vertex's column of the target table (``_vertex_texts``).  Each edge
+    opens with ``, ``, which the first vertex's piece drops."""
     yield '{"vertices": ' + json.dumps(_vertex_entries(q)) + ', "edges": ['
     names = list(map(str, range(q.n_vertices)))
-    template = ", ".join(f"[\0, %s, {e}]" for e in range(len(q.targets)))
-    for v, col in enumerate(zip(*q.targets)):
-        text = template.replace("\0", names[v]) % _gather(names, col)
-        yield ", " + text if v else text
+    heads = (", [" + name + ", " for name in names)
+    texts = _vertex_texts(q, names, heads, [f", {e}]" for e in range(len(q.targets))])
+    for v, text in enumerate(texts):
+        yield text if v else text[2:]
     yield '], "endos": ' + json.dumps([f.image for f in q.endos]) + "}"
+
+
+def _vertex_texts(q: WeightedQuiver, names: list[str], heads: Iterator[str],
+                  tails: list[str]) -> Iterator[str]:
+    """Per vertex v, the join over the rows e of v's head, the name of
+    ``targets[e][v]`` and ``tails[e]``.  The list of those 3r pieces for
+    r rows is made once; per vertex, two slice assignments put in the
+    head and the gathered target names, so no Python code runs per edge."""
+    r = len(tails)
+    pieces = [""] * (3 * r)
+    pieces[2::3] = tails
+    for head, col in zip(heads, zip(*q.targets)):
+        pieces[0::3] = [head] * r
+        pieces[1::3] = _gather(names, col)
+        yield "".join(pieces)

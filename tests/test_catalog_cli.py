@@ -14,6 +14,7 @@ import pytest
 
 import quiverknot
 import quiverknot.catalog
+import quiverknot.cli
 import quiverknot.quiver
 import quiverknot.snf
 from quiverknot.catalog import CatalogError, load_catalog
@@ -164,12 +165,17 @@ def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     blob = run_json(capsys, "compare", "8_18", "8_18", "--quandle", "dihedral:5", "--endos", "all")
     assert blob["outputs"]["isomorphic"] is True
     assert calls == [8]
-    # Each PD text argument builds its own Diagram, reduced once.
+    # PD text named twice builds one Diagram, reduced once, and one quiver.
     calls.clear()
+    built = []
+    real_quiver = quiverknot.cli.coloring_quiver
+    monkeypatch.setattr(quiverknot.cli, "coloring_quiver",
+                        lambda *a: built.append(a[0]) or real_quiver(*a))
     pd = load_catalog().entries["8_18"].pd
     blob = run_json(capsys, "compare", pd, pd, "--quandle", "dihedral:5", "--endos", "all")
     assert blob["outputs"]["witness"] == list(range(25))
-    assert calls == [8, 8]
+    assert calls == [8]
+    assert len(built) == 1
 
 
 def test_builtin_entries_are_read_once(monkeypatch):

@@ -34,6 +34,7 @@ from quiverknot.quiver import (
     _determining_arcs,
     _gather,
     _joint_refine,
+    _keeps_rows,
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
@@ -504,6 +505,38 @@ def test_streamed_json_equals_json_dumps(catalog):
             pieces.clear()
 
 
+def _edge_by_edge_texts(q):
+    """DOT and JSON spelled edge by edge with f-strings: an oracle that
+    shares no code with the writers."""
+    n = q.n_vertices
+    if q.weights is None:
+        labels = [f'  v{i} [label="{i}"];' for i in range(n)]
+        entries = [f'{{"id": {i}}}' for i in range(n)]
+    else:
+        labels = [f'  v{i} [label="{i} (w={w})"];' for i, w in enumerate(q.weights)]
+        entries = [f'{{"id": {i}, "weight": {w}}}' for i, w in enumerate(q.weights)]
+    arrows = [f'  v{v} -> v{row[v]} [label="f{e}"];'
+              for v in range(n) for e, row in enumerate(q.targets)]
+    dot = "\n".join(["digraph {", *labels, *arrows, "}"]) if n else "digraph { }"
+    edges = [f"[{v}, {row[v]}, {e}]" for v in range(n) for e, row in enumerate(q.targets)]
+    images = ["[" + ", ".join(f"{y}" for y in f.image) + "]" for f in q.endos]
+    text = (f'{{"vertices": [{", ".join(entries)}], "edges": [{", ".join(edges)}], '
+            f'"endos": [{", ".join(images)}]}}')
+    return dot, text
+
+
+def test_writers_match_an_edge_by_edge_oracle(catalog):
+    R15 = make_dihedral(15)
+    large = coloring_quiver(catalog.diagram("8_18"), R15, enumerate_homs(R15, R15))
+    for q in chain(_streamed_quivers(catalog), [large]):
+        dot, text = _edge_by_edge_texts(q)
+        assert to_dot(q) == dot
+        pieces: list[str] = []
+        assert to_dot(q, False, pieces.append) is None
+        assert "".join(pieces) == dot + "\n"
+        assert "".join(quiver_json_chunks(q)) == text
+
+
 def test_collapse_parallel_is_display_only(catalog):
     R3 = make_dihedral(3)
     q = coloring_quiver(unknot_diagram(), R3, enumerate_homs(R3, R3))
@@ -765,6 +798,35 @@ def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
     diagrams = [build_diagram(parse_pd(text)) for text in texts]
     verdicts = module_verdicts_against_search(diagrams, (2, 3, 4, 6, 8, 9, 12))
     assert verdicts[True, True] and verdicts[False, True]
+
+
+def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch):
+    X = make_dihedral(9)
+    end = enumerate_homs(X, X)
+    da, db = catalog.diagram("6_1"), catalog.diagram("8_10")
+    qa, qb = coloring_quiver(da, X, end), coloring_quiver(db, X, end)
+    iso, witness = end_quiver_isomorphic(da, db, qa, qb)
+    assert iso and _keeps_rows(qa, qb, witness)
+    # Vertex 0, the constant coloring 0, has 9 distinct out-neighbours and
+    # a non-constant vertex more, so swapping their images is no isomorphism.
+    k = next(v for v, c in enumerate(qa.vertices) if len(set(c.values)) > 1)
+    swapped = list(witness)
+    swapped[0], swapped[k] = swapped[k], swapped[0]
+    assert not _keeps_rows(qa, qb, tuple(swapped))
+    assert not _verify_witness(qa, qb, tuple(swapped), False)
+    # c -> 2c sends the edges of x -> a*x + b onto those of x -> a*x + 2b:
+    # an isomorphism of the unlabelled quiver, but not of the labelled one.
+    position = {c.values: w for w, c in enumerate(qa.vertices)}
+    double = tuple(position[tuple(2 * y % 9 for y in c.values)] for c in qa.vertices)
+    assert _verify_witness(qa, qa, double, False)
+    assert not _keeps_rows(qa, qa, double)
+    # the rows must pair up by image
+    assert not _keeps_rows(qa, replace(qa, endos=qa.endos[1:], targets=qa.targets[1:]),
+                           tuple(range(qa.n_vertices)))
+    # a rejected module witness is an error, not a verdict
+    monkeypatch.setattr(quiverknot.quiver, "_keeps_rows", lambda *args: False)
+    with pytest.raises(AssertionError):
+        end_quiver_isomorphic(da, db, qa, qb)
 
 
 def test_end_of_a_dihedral_quandle_is_its_affine_maps():
