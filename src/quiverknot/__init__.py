@@ -65,6 +65,7 @@ from .quiver import (
     WeightedQuiver,
     cocycle_polynomial,
     coloring_quiver,
+    end_modules,
     end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_to_json,

@@ -17,7 +17,14 @@ quiver's target table, so no whole edge list or output string is held.
 
 Every command checks its inputs in one order: knots, quandle,
 endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
-``--base`` only with ``--weighted``.  Each option is declared once, in
+``--base`` only with ``--weighted``.  After those checks, an unweighted
+``compare`` over all of End(R_n) (``--endos all`` on ``dihedral:n``,
+whose n^2 maps x -> a*x + b are listed in closed form) takes its
+verdict from the coloring modules first (``end_modules``): unequal
+module types print the counts and a null witness with no quiver built
+and no ``quiver_isomorphic`` call; equal types build both quivers on
+the module's colorings and prove its witness through
+``quiver_isomorphic``.  Each option is declared once, in
 ``OPTIONS``, and the parser is built once per process, so in-process
 callers do not rebuild it per call.  ``main`` looks the command up by
 name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
@@ -36,7 +43,7 @@ from typing import Optional, Sequence
 
 from .catalog import Catalog, CatalogError, load_catalog
 from .cocycle import Cocycle3, invariant_multiset, mochizuki, multiset_to_json
-from .coloring import count_colorings_dihedral, enumerate_colorings
+from .coloring import Coloring, count_colorings_dihedral, enumerate_colorings
 from .diagram import (
     Diagram,
     ParseError,
@@ -59,6 +66,7 @@ from .quandle import (
 from .quiver import (
     cocycle_polynomial,
     coloring_quiver,
+    end_modules,
     quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,
@@ -222,28 +230,39 @@ def _cocycle(args, X: FiniteQuandle) -> tuple[Cocycle3, int]:
     return theta, base
 
 
-def _build_quivers(args, catalog: Catalog, knots: list[str], weighted: bool):
+def _inputs(args, catalog: Catalog, knots: list[str], weighted: bool):
     """Resolve the knots, the quandle, the endomorphisms and the cocycle
-    and base, in that order; return the diagrams, X, theta, the base and
-    one quiver per knot.  theta and the base are None unless weighted, and
-    then an explicit ``--cocycle`` or ``--base`` is an error.  A knot named
-    twice is resolved once and gets one diagram and one quiver."""
+    and base, in that order; return one diagram per distinct knot string,
+    X, S, theta and the base.  theta and the base are None unless
+    weighted, and then an explicit ``--cocycle`` or ``--base`` is an
+    error."""
     resolved = {knot: resolve_knot(knot, catalog) for knot in knots}
-    diagrams = [resolved[knot] for knot in knots]
     X = parse_quandle_spec(args.quandle)
     S = parse_endo_spec(args.endos, X)
-    if not weighted:
-        given = [f"--{name}" for name in ("cocycle", "base")
-                 if getattr(args, name, None) is not None]
-        if given:
-            raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
-        theta = base = None
-        quivers = {knot: coloring_quiver(d, X, S) for knot, d in resolved.items()}
-    else:
-        theta, base = _cocycle(args, X)
-        quivers = {knot: shadow_cocycle_quiver(d, X, S, base, theta)
-                   for knot, d in resolved.items()}
-    return diagrams, X, theta, base, [quivers[knot] for knot in knots]
+    if weighted:
+        return (resolved, X, S, *_cocycle(args, X))
+    given = [f"--{name}" for name in ("cocycle", "base") if getattr(args, name, None) is not None]
+    if given:
+        raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
+    return resolved, X, S, None, None
+
+
+def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base,
+                   colorings: Optional[dict] = None) -> dict:
+    """One quiver per distinct knot string: a shadow cocycle quiver when
+    theta is given, else a coloring quiver, over ``colorings[knot]`` when
+    the caller has them."""
+    if theta is not None:
+        return {knot: shadow_cocycle_quiver(d, X, S, base, theta) for knot, d in resolved.items()}
+    colorings = colorings or {}
+    return {knot: coloring_quiver(d, X, S, colorings.get(knot))
+            for knot, d in resolved.items()}
+
+
+def _quiver(args, catalog: Catalog, weighted: bool):
+    """The quiver of ``--knot``, checked and built as ``compare`` builds its two."""
+    resolved, *inputs = _inputs(args, catalog, [args.knot], weighted)
+    return _build_quivers(resolved, *inputs)[args.knot]
 
 
 def _weight_multiset(d: Diagram, X: FiniteQuandle, theta: Cocycle3, base: int,
@@ -278,7 +297,7 @@ def _dot_output(args, q) -> bool:
 
 
 def cmd_quiver(args, catalog: Catalog, started: float) -> int:
-    *_, (q,) = _build_quivers(args, catalog, [args.knot], weighted=False)
+    q = _quiver(args, catalog, weighted=False)
     if _dot_output(args, q):
         return EXIT_OK
     outputs: dict = {"vertices": q.n_vertices, "edges": q.n_edges}
@@ -294,7 +313,7 @@ def cmd_quiver(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_shadow(args, catalog: Catalog, started: float) -> int:
-    *_, (q,) = _build_quivers(args, catalog, [args.knot], weighted=True)
+    q = _quiver(args, catalog, weighted=True)
     if _dot_output(args, q):
         return EXIT_OK
     poly = cocycle_polynomial(q)
@@ -321,19 +340,34 @@ def cmd_shadow(args, catalog: Catalog, started: float) -> int:
 
 
 def cmd_compare(args, catalog: Catalog, started: float) -> int:
-    (dA, dB), X, theta, base, (qA, qB) = _build_quivers(
-        args, catalog, [args.knotA, args.knotB], args.weighted)
-    iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=(X, dA, dB))
+    knots = [args.knotA, args.knotB]
+    resolved, X, S, theta, base = _inputs(args, catalog, knots, args.weighted)
+    dA, dB = (resolved[knot] for knot in knots)
+    # The verdict of an unweighted compare over all of End(R_n) comes
+    # from the coloring modules; quivers are built only to prove a witness.
+    modules = None if args.weighted else end_modules(X, S, dA, dB)
     outputs: dict = {}
-    if args.weighted:
-        mA = _weight_multiset(dA, X, theta, base, qA)
-        mB = _weight_multiset(dB, X, theta, base, qB)
-        outputs["multisets"] = {
-            "A": multiset_to_json(mA),
-            "B": multiset_to_json(mB),
-            "equal": mA == mB,
-        }
-    outputs["counts"] = [qA.n_vertices, qB.n_vertices]
+    if modules is not None and modules[1] is None:
+        counts, iso, witness = modules[0], False, None
+    else:
+        colorings = None
+        if modules is not None:
+            phi = modules[1]
+            colorings = {knot: list(map(Coloring, sorted(side)))
+                         for knot, side in zip(knots, (phi, phi.values()))}
+        quivers = _build_quivers(resolved, X, S, theta, base, colorings)
+        qA, qB = (quivers[knot] for knot in knots)
+        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=modules)
+        counts = [qA.n_vertices, qB.n_vertices]
+        if args.weighted:
+            mA = _weight_multiset(dA, X, theta, base, qA)
+            mB = mA if qB is qA else _weight_multiset(dB, X, theta, base, qB)
+            outputs["multisets"] = {
+                "A": multiset_to_json(mA),
+                "B": multiset_to_json(mB),
+                "equal": mA == mB,
+            }
+    outputs["counts"] = counts
     outputs["isomorphic"] = iso
     outputs["witness"] = list(witness) if witness is not None else None
     result = {

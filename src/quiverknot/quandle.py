@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -307,11 +308,22 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     check: they hold by Q1 in X and in Y, by the formula for dihedral and
     Alexander quandles and by ``from_table``'s check for tables.
 
-    For End(R_n) it branches on f(1) only, f(0) being 0: f(k+1) = 2f(k) -
-    f(k-1) forces the rest, so the result is the n^2 affine maps
-    f(x) = a*x + b.
+    End(R_n) needs no search: it is the n^2 maps f(x) = a*x + b, for
+    every n.  Each is an endomorphism (``affine_endos``).  Conversely
+    (k-1)*k = k+1, so R_n is generated by 0 and 1, and an endomorphism f
+    has f(k+1) = 2f(k) - f(k-1): f(0) = b and f(1) = a + b force
+    f(k) = a*k + b by induction.  So f is fixed by (f(0), f(1)), the
+    pairs (a, b) give n^2 distinct maps, and sorted by image they come
+    b ascending, then a = (k - b) mod n for f(1) = k ascending.  Image
+    (a, b) is gathered in C: the values b, b+1, ... at the positions a*x.
     """
     n, m = X.order, Y.order
+    if X.is_dihedral and X.kind == Y.kind:
+        ring = range(n)
+        shifts = [tuple(ring[b:]) + tuple(ring[:b]) for b in ring]  # y -> y + b
+        steps = [itemgetter(*[a * x % n for x in ring]) for a in ring]  # x -> a*x
+        images = [steps[(k - b) % n](shifts[b]) for b in ring for k in ring] if n > 1 else [(0,)]
+        return Homs(X, Y, (QuandleMap(n, n, image) for image in images))
     Xop, Yop = X.op, Y.op
     Xcols, Ycols = tuple(zip(*Xop)), tuple(zip(*Yop))  # Xcols[x][y] == y*x
 
@@ -359,12 +371,16 @@ def affine_endos(X: FiniteQuandle, pairs: Iterable[tuple[int, int]]) -> Homs:
 
 
 def is_affine_end(X: FiniteQuandle, maps: Sequence[QuandleMap]) -> bool:
-    """Whether X is a dihedral quandle R_n and ``maps`` are exactly its
-    n^2 maps x -> a*x + b, once each.  Those are all of End(R_n) for
-    n = 1..27, where the test suite checks ``enumerate_homs``."""
+    """Whether X is a dihedral quandle R_n and the endomorphisms ``maps``
+    are all of End(R_n), the n^2 maps x -> a*x + b, once each.
+
+    ``maps`` must be endomorphisms of X, as a ``Homs`` and a quiver's
+    maps are.  An endomorphism of R_n is fixed by (f(0), f(1))
+    (``enumerate_homs``), so n^2 maps with n^2 distinct such pairs are
+    all of End(R_n): O(n^2) steps, with no image rebuilt.
+    """
     n = X.order
-    return X.is_dihedral and len(maps) == n * n and {f.image for f in maps} == {
-        tuple((a * x + b) % n for x in range(n)) for a in range(n) for b in range(n)}
+    return X.is_dihedral and len(maps) == n * n == len({f.image[:2] for f in maps})
 
 
 def identity_map(X: FiniteQuandle) -> QuandleMap:

@@ -31,15 +31,20 @@ an explicit stack follows.  It keeps the candidates of each unmapped
 vertex as an int bitmask over the other quiver's vertices and cuts
 every mask with one ``&`` as each vertex is mapped, undoing the cuts
 from a trail on backtrack.  Quivers of two diagrams over R_n with all
-of End(R_n) need neither: ``end_quiver_isomorphic`` decides them from
-the diagrams' coloring modules, and ``quiver_isomorphic`` takes that
-path when it is given the quandle and the diagrams.  A returned witness
-is always verified edge by edge.
+of End(R_n) need neither, nor need they be built to be told apart:
+``end_modules`` reads the verdict off the diagrams' coloring modules
+before any quiver exists, with the colorings and the witness map when
+the module types agree.  Those colorings are the vertex lists of
+``coloring_quiver(..., colorings=...)``, and ``quiver_isomorphic``
+given ``end_modules``' result as ``over`` proves the witness
+(``end_quiver_isomorphic``).  A returned witness is always verified
+edge by edge.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -176,9 +181,14 @@ def _codes(columns: Sequence[Sequence[int]], n_vertices: int, order: int,
 
 
 def coloring_quiver(
-    d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap]
+    d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap],
+    colorings: Optional[Sequence[Coloring]] = None,
 ) -> WeightedQuiver:
     """The coloring quiver of D over X with edge set S = endos.
+
+    ``colorings`` are the X-colorings of D in ``enumerate_colorings``'
+    order, sorted by value vector, when the caller already has them (as
+    ``end_modules`` gives them); otherwise they are enumerated here.
 
     A row of targets is built directly from the determining arcs, on
     which the colorings project injectively: the values on those arcs
@@ -196,7 +206,7 @@ def coloring_quiver(
     ``_gather`` in C.
     """
     S = _check_endos(X, endos)
-    vertices = tuple(enumerate_colorings(d, X))
+    vertices = tuple(enumerate_colorings(d, X) if colorings is None else colorings)
     n = X.order
     columns = [[c.values[arc] for c in vertices] for arc in _determining_arcs(vertices)]
     index = {code: vi for vi, code in enumerate(_codes(columns, len(vertices), n, range(n)))}
@@ -461,7 +471,7 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
 
 def quiver_isomorphic(
     q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False,
-    over: Optional[tuple[FiniteQuandle, Diagram, Diagram]] = None,
+    over: Optional[tuple[list[int], Optional[dict]]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide directed-multigraph isomorphism, ignoring edge labels.
 
@@ -470,17 +480,16 @@ def quiver_isomorphic(
     (False, None) otherwise.  The witness is verified edge by edge
     before being returned.
 
-    ``over`` = (X, d1, d2) names the quandle and the diagrams the
-    quivers were built from.  With it, an unweighted compare whose maps
-    are all n^2 maps x -> a*x + b of R_n (``is_affine_end``) is decided
-    by ``end_quiver_isomorphic``, whose witness may differ from the
+    ``over`` is ``end_modules(X, S, d1, d2)`` for the quandle, the maps
+    and the diagrams the quivers were built from, when S is all of
+    End(R_n).  With it, an unweighted compare is decided by
+    ``end_quiver_isomorphic``, whose witness may differ from the
     search's; every other compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
-    if over is not None and not respect_weights and all(
-            is_affine_end(over[0], q.endos) for q in (q1, q2)):
-        return end_quiver_isomorphic(over[1], over[2], q1, q2)
+    if over is not None and not respect_weights:
+        return end_quiver_isomorphic(q1, q2, over)
     if respect_weights:
         if q1.weights is None or q2.weights is None:
             raise InvalidParameterError("both quivers need weights to compare them")
@@ -513,19 +522,25 @@ def quiver_isomorphic(
     return (True, witness)
 
 
-def end_quiver_isomorphic(
-    d1: Diagram, d2: Diagram, q1: WeightedQuiver, q2: WeightedQuiver
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """The verdict of ``quiver_isomorphic(q1, q2)`` for the coloring
-    quivers q1 of d1 and q2 of d2 over R_n whose maps are the n^2 maps
-    x -> a*x + b (``is_affine_end``), read off the coloring modules with
-    no refinement or search.  The witness may differ from the search's.
+def end_modules(
+    X: FiniteQuandle, S: Sequence[QuandleMap], d1: Diagram, d2: Diagram
+) -> Optional[tuple[list[int], Optional[dict]]]:
+    """The verdict of ``quiver_isomorphic`` on the coloring quivers of d1
+    and d2 over X with the maps S, read off the diagrams' coloring
+    modules before either quiver is built.  None unless X is R_n and S
+    is all of End(R_n), the n^2 maps x -> a*x + b (``is_affine_end``).
+
+    Returns (counts, phi): the two coloring counts, and phi, a module
+    isomorphism from d1's colorings to d2's as a dict of value tuples,
+    or None when the quivers are not isomorphic.  The keys and values of
+    phi, sorted, are the colorings ``enumerate_colorings`` lists.
 
     The colorings of a diagram over R_n are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
     ``Diagram.coloring_reduction`` gives the argument.  A basis of M' is
     read off each diagram's cached reduction by
-    ``kernel_basis_from_transform``, with no elimination.
+    ``kernel_basis_from_transform``, with no elimination, and
+    |M| = n·(the product of the basis orders).
 
     Not isomorphic when the orders of the two bases differ.  Proof:
     vertex c has the out-neighbours a·c + b·1 for (a, b) in Z_n^2, which
@@ -537,18 +552,19 @@ def end_quiver_isomorphic(
     each prime p, those counts at m = p, p^2, ... give the multiset of
     the p-parts of the orders, so they fix the orders.
 
-    Isomorphic otherwise: the map phi with phi(1) = 1 that sends each
-    basis generator of d1 to d2's at the same place, of the same order,
-    is a module isomorphism M1 -> M2, and phi(a·c + b·1) = a·phi(c) + b·1
-    sends the out-edges of c onto those of phi(c).  Vertices are looked
-    up by their values, and the witness is verified edge by edge, with
-    the labels: for every map f it must carry q1's row of f onto q2's
-    (``_keeps_rows``).
+    Otherwise the map phi with phi(1) = 1 that sends each basis
+    generator of d1 to d2's at the same place, of the same order, is a
+    module isomorphism M1 -> M2; it is enumerated here, element by
+    element.
     """
-    n = q1.endos[0].source_order
+    if not is_affine_end(X, S):
+        return None
+    n = X.order
     bases = [kernel_basis_from_transform(*d.coloring_reduction, n) for d in (d1, d2)]
-    if [g for g, _ in bases[0]] != [g for g, _ in bases[1]]:
-        return (False, None)
+    orders = [[g for g, _ in basis] for basis in bases]
+    counts = [n * math.prod(o) for o in orders]
+    if orders[0] != orders[1]:
+        return counts, None
 
     def plus(c: tuple[int, ...], z: int, y: tuple[int, ...]) -> tuple[int, ...]:
         """c + z·(0, y) over Z_n: y holds the values on arcs 1 onward."""
@@ -558,7 +574,29 @@ def end_quiver_isomorphic(
     pairs = [((b,) * d1.n_arcs, (b,) * d2.n_arcs) for b in range(n)]
     for (g, y1), (_, y2) in zip(*bases):
         pairs = [(plus(c1, z, y1), plus(c2, z, y2)) for z in range(g) for c1, c2 in pairs]
-    phi = dict(pairs)
+    return counts, dict(pairs)
+
+
+def end_quiver_isomorphic(
+    q1: WeightedQuiver, q2: WeightedQuiver, modules: tuple[list[int], Optional[dict]]
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The verdict of ``quiver_isomorphic(q1, q2)`` for the coloring
+    quivers of diagrams d1 and d2 over R_n with all of End(R_n), given
+    ``end_modules(X, S, d1, d2)``, with no refinement or search.  The
+    witness may differ from the search's.  ``compare`` reads that verdict
+    before it builds any quiver, and builds the two only when phi exists,
+    on phi's keys and values, each sorted, as vertex lists; this proves phi.
+
+    End(R_n) is the n^2 maps x -> a*x + b, in closed form
+    (``enumerate_homs``), and phi(a·c + b·1) = a·phi(c) + b·1, so phi
+    sends the out-edges of c onto those of phi(c).  Vertices are looked
+    up by their values, and the witness is verified edge by edge, with
+    the labels: for every map f it must carry q1's row of f onto q2's
+    (``_keeps_rows``).
+    """
+    phi = modules[1]
+    if phi is None:
+        return (False, None)
     position = {c.values: w for w, c in enumerate(q2.vertices)}
     witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
     if not _keeps_rows(q1, q2, witness):

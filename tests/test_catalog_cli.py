@@ -20,8 +20,15 @@ import quiverknot.snf
 from quiverknot.catalog import CatalogError, load_catalog
 from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
-from quiverknot.quandle import make_dihedral, table_text
-from quiverknot.quiver import coloring_quiver, quiver_to_json, shadow_cocycle_quiver, to_dot
+from quiverknot.quandle import enumerate_homs, make_dihedral, table_text
+from quiverknot.quiver import (
+    coloring_quiver,
+    end_modules,
+    quiver_isomorphic,
+    quiver_to_json,
+    shadow_cocycle_quiver,
+    to_dot,
+)
 from test_quiver import count_endo_checks
 
 
@@ -396,10 +403,10 @@ def test_cli_compare(capsys):
 
 
 def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeypatch, tmp_path):
-    # Every compare decides through one quiver_isomorphic call, which
-    # takes the module path from S itself: the n^2 maps x -> a*x + b of
-    # a dihedral quandle, unweighted.  Everything else is refined and
-    # searched.
+    # A self-compare decides through one quiver_isomorphic call, which
+    # takes the module path when S is the n^2 maps x -> a*x + b of a
+    # dihedral quandle, unweighted (the module types agree, so compare
+    # builds the quivers).  Everything else is refined and searched.
     calls = []
     for module, name in ((quiverknot.cli, "quiver_isomorphic"),
                          (quiverknot.quiver, "end_quiver_isomorphic"),
@@ -425,6 +432,72 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
         # A self-compare, so that no size mismatch answers first.
         run_json(capsys, "compare", "4_1", "4_1", "--quandle", spec, *extra)
         assert calls == ["quiver_isomorphic", want], (spec, extra)
+
+
+def test_cli_compare_of_unequal_module_types_builds_no_quiver(capsys, monkeypatch):
+    # 8_10 and 8_18 both have 81 colorings over R_9, in modules of types
+    # Z_9 + Z_9 and Z_9 + Z_3 + Z_3: the verdict needs no quiver, no
+    # coloring list and no isomorphism call.
+    calls = []
+    for module, name in ((quiverknot.cli, "coloring_quiver"),
+                         (quiverknot.quiver, "coloring_quiver"),
+                         (quiverknot.cli, "enumerate_colorings"),
+                         (quiverknot.quiver, "enumerate_colorings"),
+                         (quiverknot.cli, "quiver_isomorphic")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+    blob = run_json(capsys, "compare", "8_10", "8_18", "--quandle", "dihedral:9",
+                    "--endos", "all")
+    assert blob["outputs"] == {"counts": [81, 81], "isomorphic": False, "witness": None}
+    assert calls == []
+
+
+def test_cli_compare_matches_searched_quivers_on_equal_count_pairs(capsys, catalog):
+    # The CLI reads the verdict and the vertex lists off the coloring
+    # modules; its JSON must be the one built from quivers on the
+    # searched colorings (the module verdicts are checked against the
+    # isomorphism search in test_quiver.py).
+    names = catalog.names()
+    compared = Counter()
+    for n in range(3, 16):
+        X = make_dihedral(n)
+        end = enumerate_homs(X, X)
+        quivers = {k: coloring_quiver(catalog.diagram(k), X, end) for k in names}
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                qa, qb = quivers[a], quivers[b]
+                if qa.n_vertices != qb.n_vertices:
+                    continue
+                modules = end_modules(X, end, catalog.diagram(a), catalog.diagram(b))
+                iso, witness = quiver_isomorphic(qa, qb, over=modules)
+                params = {"knotA": a, "knotB": b, "quandle": f"dihedral:{n}",
+                          "endos": "all", "weighted": False}
+                outputs = {"counts": [qa.n_vertices, qb.n_vertices], "isomorphic": iso,
+                           "witness": list(witness) if witness is not None else None}
+                expected = json.dumps({"command": "compare", "parameters": params,
+                                       "outputs": outputs}) + "\n"
+                code, out, _ = run_cli(capsys, "compare", a, b, "--quandle", f"dihedral:{n}",
+                                       "--endos", "all")
+                assert (code, TIMING.sub("", out)) == (0, expected), (n, a, b)
+                compared[iso] += 1
+    assert compared[True] and compared[False]
+
+
+def test_cli_weighted_self_compare_sums_the_weights_once(capsys, monkeypatch, catalog):
+    # One quiver, so one multiset: the output equals that of a compare
+    # naming the knot once by name and once as PD text, two quivers.
+    calls = []
+    real = quiverknot.cli._weight_multiset
+    monkeypatch.setattr(quiverknot.cli, "_weight_multiset",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    r13 = ["--quandle", "dihedral:13", "--endos", "all", "--weighted", "--base", "5"]
+    once = run_json(capsys, "compare", "6_3", "6_3", *r13)
+    assert len(calls) == 1
+    calls.clear()
+    twice = run_json(capsys, "compare", "6_3", catalog.entries["6_3"].pd, *r13)
+    assert len(calls) == 2
+    assert once["outputs"] == twice["outputs"]
+    assert once["outputs"]["multisets"]["equal"] is True
+    assert once["outputs"]["witness"] == list(range(169))
 
 
 def test_cli_deterministic_output(capsys):

@@ -38,6 +38,7 @@ from quiverknot.quiver import (
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
+    end_modules,
     end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_json_chunks,
@@ -768,7 +769,7 @@ def module_verdicts_against_search(diagrams, orders):
         end = enumerate_homs(X, X)
         quivers = [coloring_quiver(d, X, end) for d in diagrams]
         for (da, qa), (db, qb) in product(zip(diagrams, quivers), repeat=2):
-            iso, witness = end_quiver_isomorphic(da, db, qa, qb)
+            iso, witness = end_quiver_isomorphic(qa, qb, end_modules(X, end, da, db))
             assert iso == quiver_isomorphic(qa, qb)[0], (n, qa.n_vertices, qb.n_vertices)
             assert iso == (witness is not None)
             if iso:
@@ -800,12 +801,43 @@ def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
     assert verdicts[True, True] and verdicts[False, True]
 
 
+def test_module_colorings_are_the_enumerated_colorings(catalog):
+    # The vertex lists compare builds its End(R_n)-quivers on are read off
+    # the coloring modules, with no search: they must be the colorings the
+    # search finds, in its order, and the counts their number.
+    knots = [catalog.entries[name].pd for name in catalog.names()]
+    knots.remove("unknot")
+    rng = random.Random(26)
+    texts = [relabel_pd(parse_pd(text).crossings, rng)[0] for text in knots]
+    texts += [torus_pd(k) for k in range(2, 13)] + [meridian_chain_pd(m) for m in range(1, 5)]
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    diagrams += [build_diagram(parse_pd(text)) for text in texts]
+    for n in range(2, 16):
+        X = make_dihedral(n)
+        end = enumerate_homs(X, X)
+        for d, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
+            colorings = [c.values for c in enumerate_colorings(d, X)]
+            counts, phi = end_modules(X, end, d, d)
+            assert counts == [len(colorings)] * 2, n
+            assert sorted(phi) == sorted(phi.values()) == colorings
+            counts, phi = end_modules(X, end, other, d)
+            assert counts[1] == len(colorings)
+            assert phi is None or sorted(phi.values()) == colorings
+    # Only all of End(R_n) is read off the modules.
+    R5 = make_dihedral(5)
+    d = catalog.diagram("4_1")
+    assert end_modules(R5, enumerate_autos(R5), d, d) is None
+    A = make_alexander(5, 4)
+    assert end_modules(A, enumerate_homs(A, A), d, d) is None
+
+
 def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch):
     X = make_dihedral(9)
     end = enumerate_homs(X, X)
     da, db = catalog.diagram("6_1"), catalog.diagram("8_10")
     qa, qb = coloring_quiver(da, X, end), coloring_quiver(db, X, end)
-    iso, witness = end_quiver_isomorphic(da, db, qa, qb)
+    modules = end_modules(X, end, da, db)
+    iso, witness = end_quiver_isomorphic(qa, qb, modules)
     assert iso and _keeps_rows(qa, qb, witness)
     # Vertex 0, the constant coloring 0, has 9 distinct out-neighbours and
     # a non-constant vertex more, so swapping their images is no isomorphism.
@@ -826,16 +858,22 @@ def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch)
     # a rejected module witness is an error, not a verdict
     monkeypatch.setattr(quiverknot.quiver, "_keeps_rows", lambda *args: False)
     with pytest.raises(AssertionError):
-        end_quiver_isomorphic(da, db, qa, qb)
+        end_quiver_isomorphic(qa, qb, modules)
 
 
 def test_end_of_a_dihedral_quandle_is_its_affine_maps():
+    # End(R_n) as the search finds it over the untagged table, not the
+    # closed form that is_affine_end's reading of (f(0), f(1)) rests on
     for n in range(1, 28):
         X = make_dihedral(n)
-        assert is_affine_end(X, enumerate_homs(X, X)), n
+        plain = from_table(X.op)
+        assert is_affine_end(X, enumerate_homs(plain, plain)), n
     R5 = make_dihedral(5)
     assert not is_affine_end(R5, enumerate_autos(R5))
     assert not is_affine_end(R5, parse_endo_spec("1,0;2,0", R5))
+    # n^2 maps, but not n^2 distinct ones
+    assert not is_affine_end(R5, parse_endo_spec(";".join(["1,0"] * 25), R5))
+    assert not is_affine_end(R5, parse_endo_spec(";".join(["1,0"] * 24 + ["2,0"]), R5))
     # the same maps over a quandle that is not dihedral by kind
     assert not is_affine_end(from_table(R5.op), enumerate_homs(R5, R5))
     A = make_alexander(5, 2)
