@@ -66,6 +66,7 @@ from .quiver import (
     cocycle_polynomial,
     coloring_quiver,
     end_modules,
+    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,

@@ -20,9 +20,10 @@ endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
 ``--base`` only with ``--weighted``.  After those checks, an unweighted
 ``compare`` over all of End(R_n) (``--endos all`` on ``dihedral:n``,
 whose n^2 maps x -> a*x + b are listed in closed form) takes its
-counts, verdict and proved witness from ``end_modules``, which reads
-them off the coloring modules and builds quivers only when the module
-types agree; every other ``compare`` builds its quivers here and calls
+verdict from the coloring modules first (``end_modules``): unequal
+module types print the counts and a null witness with no quiver built
+and no ``quiver_isomorphic`` call; equal types build both quivers on
+the module's colorings and prove its witness through
 ``quiver_isomorphic``.  Each option is declared once, in
 ``OPTIONS``, and the parser is built once per process, so in-process
 callers do not rebuild it per call.  ``main`` looks the command up by
@@ -42,7 +43,7 @@ from typing import Optional, Sequence
 
 from .catalog import Catalog, CatalogError, load_catalog
 from .cocycle import Cocycle3, invariant_multiset, mochizuki, multiset_to_json
-from .coloring import count_colorings_dihedral, enumerate_colorings
+from .coloring import Coloring, count_colorings_dihedral, enumerate_colorings
 from .diagram import (
     Diagram,
     ParseError,
@@ -246,12 +247,16 @@ def _inputs(args, catalog: Catalog, knots: list[str], weighted: bool):
     return resolved, X, S, None, None
 
 
-def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base) -> dict:
+def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base,
+                   colorings: Optional[dict] = None) -> dict:
     """One quiver per distinct knot string: a shadow cocycle quiver when
-    theta is given, else a coloring quiver."""
+    theta is given, else a coloring quiver, over ``colorings[knot]`` when
+    the caller has them."""
     if theta is not None:
         return {knot: shadow_cocycle_quiver(d, X, S, base, theta) for knot, d in resolved.items()}
-    return {knot: coloring_quiver(d, X, S) for knot, d in resolved.items()}
+    colorings = colorings or {}
+    return {knot: coloring_quiver(d, X, S, colorings.get(knot))
+            for knot, d in resolved.items()}
 
 
 def _quiver(args, catalog: Catalog, weighted: bool):
@@ -338,17 +343,21 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
     knots = [args.knotA, args.knotB]
     resolved, X, S, theta, base = _inputs(args, catalog, knots, args.weighted)
     dA, dB = (resolved[knot] for knot in knots)
-    # An unweighted compare over all of End(R_n) is decided from the
-    # coloring modules.
+    # The verdict of an unweighted compare over all of End(R_n) comes
+    # from the coloring modules; quivers are built only to prove a witness.
     modules = None if args.weighted else end_modules(X, S, dA, dB)
     outputs: dict = {}
-    if modules is not None:
-        counts, witness = modules
-        iso = witness is not None
+    if modules is not None and modules[1] is None:
+        counts, iso, witness = modules[0], False, None
     else:
-        quivers = _build_quivers(resolved, X, S, theta, base)
+        colorings = None
+        if modules is not None:
+            phi = modules[1]
+            colorings = {knot: list(map(Coloring, sorted(side)))
+                         for knot, side in zip(knots, (phi, phi.values()))}
+        quivers = _build_quivers(resolved, X, S, theta, base, colorings)
         qA, qB = (quivers[knot] for knot in knots)
-        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted)
+        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=modules)
         counts = [qA.n_vertices, qB.n_vertices]
         if args.weighted:
             mA = _weight_multiset(dA, X, theta, base, qA)

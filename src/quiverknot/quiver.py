@@ -33,10 +33,12 @@ every mask with one ``&`` as each vertex is mapped, undoing the cuts
 from a trail on backtrack.  Quivers of two diagrams over R_n with all
 of End(R_n) need neither, nor need they be built to be told apart:
 ``end_modules`` reads the verdict off the diagrams' coloring modules
-before any quiver exists.  Only when the module types agree does it
-build the quivers, on the colorings its module map lists, and prove
-that map as the witness, map by map.  A returned witness is always
-verified edge by edge.
+before any quiver exists, with the colorings and the witness map when
+the module types agree.  Those colorings are the vertex lists of
+``coloring_quiver(..., colorings=...)``, and ``quiver_isomorphic``
+given ``end_modules``' result as ``over`` proves the witness
+(``end_quiver_isomorphic``).  A returned witness is always verified
+edge by edge.
 """
 
 from __future__ import annotations
@@ -186,8 +188,7 @@ def coloring_quiver(
 
     ``colorings`` are the X-colorings of D in ``enumerate_colorings``'
     order, sorted by value vector, when the caller already has them (as
-    ``end_modules`` reads them off the coloring module); otherwise they
-    are enumerated here.
+    ``end_modules`` gives them); otherwise they are enumerated here.
 
     A row of targets is built directly from the determining arcs, on
     which the colorings project injectively: the values on those arcs
@@ -469,7 +470,8 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
 
 
 def quiver_isomorphic(
-    q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False
+    q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False,
+    over: Optional[tuple[list[int], Optional[dict]]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide directed-multigraph isomorphism, ignoring edge labels.
 
@@ -477,9 +479,17 @@ def quiver_isomorphic(
     exactly.  Returns (True, mapping) with mapping[v1] = v2 on success,
     (False, None) otherwise.  The witness is verified edge by edge
     before being returned.
+
+    ``over`` is ``end_modules(X, S, d1, d2)`` for the quandle, the maps
+    and the diagrams the quivers were built from, when S is all of
+    End(R_n).  With it, an unweighted compare is decided by
+    ``end_quiver_isomorphic``, whose witness may differ from the
+    search's; every other compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
+    if over is not None and not respect_weights:
+        return end_quiver_isomorphic(q1, q2, over)
     if respect_weights:
         if q1.weights is None or q2.weights is None:
             raise InvalidParameterError("both quivers need weights to compare them")
@@ -514,50 +524,16 @@ def quiver_isomorphic(
 
 def end_modules(
     X: FiniteQuandle, S: Sequence[QuandleMap], d1: Diagram, d2: Diagram
-) -> Optional[tuple[list[int], Optional[tuple[int, ...]]]]:
+) -> Optional[tuple[list[int], Optional[dict]]]:
     """The verdict of ``quiver_isomorphic`` on the coloring quivers of d1
     and d2 over X with the maps S, read off the diagrams' coloring
-    modules.  None unless X is R_n and S is all of End(R_n), the n^2 maps
-    x -> a*x + b (``is_affine_end``).
+    modules before either quiver is built.  None unless X is R_n and S
+    is all of End(R_n), the n^2 maps x -> a*x + b (``is_affine_end``).
 
-    Returns (counts, witness): the two coloring counts, and a proved
-    isomorphism with witness[v1] = v2, or None when the quivers are not
-    isomorphic, in which case no quiver is built.  The witness may differ
-    from the search's.
-
-    When the module types agree, ``_module_map``'s phi is a module
-    isomorphism with phi(1) = 1.  End(R_n) is the n^2 maps
-    x -> a*x + b, in closed form (``enumerate_homs``), and
-    phi(a·c + b·1) = a·phi(c) + b·1, so phi sends the out-edges of c
-    onto those of phi(c).  The quivers are built on phi's keys and
-    values, each sorted, as vertex lists, which are the colorings
-    ``enumerate_colorings`` lists, in its order; d2 is d1 builds one.
-    The witness is then proved edge by edge, with the labels: for every
-    map f it must carry d1's row of f onto d2's (``_keeps_rows``), and a
-    rejection raises ``AssertionError``.
-    """
-    if not is_affine_end(X, S):
-        return None
-    counts, phi = _module_map(X, d1, d2)
-    if phi is None:
-        return counts, None
-    q1 = coloring_quiver(d1, X, S, list(map(Coloring, sorted(phi))))
-    q2 = q1 if d2 is d1 else coloring_quiver(d2, X, S, list(map(Coloring, sorted(phi.values()))))
-    position = {c.values: w for w, c in enumerate(q2.vertices)}
-    witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
-    if not _keeps_rows(q1, q2, witness):
-        raise AssertionError("the coloring module map is not a quiver isomorphism")
-    return counts, witness
-
-
-def _module_map(
-    X: FiniteQuandle, d1: Diagram, d2: Diagram
-) -> tuple[list[int], Optional[dict[tuple[int, ...], tuple[int, ...]]]]:
-    """(counts, phi) for the R_n-colorings of d1 and d2: the two coloring
-    counts, and phi, a module isomorphism from d1's colorings to d2's as
-    a dict of value tuples, or None when the module types differ.  The
-    keys and values of phi, sorted, are the colorings
-    ``enumerate_colorings`` lists.
+    Returns (counts, phi): the two coloring counts, and phi, a module
+    isomorphism from d1's colorings to d2's as a dict of value tuples,
+    or None when the quivers are not isomorphic.  The keys and values of
+    phi, sorted, are the colorings ``enumerate_colorings`` lists.
 
     The colorings of a diagram over R_n are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
@@ -566,8 +542,7 @@ def _module_map(
     ``kernel_basis_from_transform``, with no elimination, and
     |M| = n·(the product of the basis orders).
 
-    The End(R_n)-quivers are not isomorphic when the orders of the two
-    bases differ.  Proof:
+    Not isomorphic when the orders of the two bases differ.  Proof:
     vertex c has the out-neighbours a·c + b·1 for (a, b) in Z_n^2, which
     are |Z_n c + Z_n 1| = n·|Z_n [c]| distinct vertices, [c] being c's
     part in M' (1 has order n and spans a summand).  An isomorphism keeps
@@ -582,6 +557,8 @@ def _module_map(
     module isomorphism M1 -> M2; it is enumerated here, element by
     element.
     """
+    if not is_affine_end(X, S):
+        return None
     n = X.order
     bases = [kernel_basis_from_transform(*d.coloring_reduction, n) for d in (d1, d2)]
     orders = [[g for g, _ in basis] for basis in bases]
@@ -598,6 +575,33 @@ def _module_map(
     for (g, y1), (_, y2) in zip(*bases):
         pairs = [(plus(c1, z, y1), plus(c2, z, y2)) for z in range(g) for c1, c2 in pairs]
     return counts, dict(pairs)
+
+
+def end_quiver_isomorphic(
+    q1: WeightedQuiver, q2: WeightedQuiver, modules: tuple[list[int], Optional[dict]]
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The verdict of ``quiver_isomorphic(q1, q2)`` for the coloring
+    quivers of diagrams d1 and d2 over R_n with all of End(R_n), given
+    ``end_modules(X, S, d1, d2)``, with no refinement or search.  The
+    witness may differ from the search's.  ``compare`` reads that verdict
+    before it builds any quiver, and builds the two only when phi exists,
+    on phi's keys and values, each sorted, as vertex lists; this proves phi.
+
+    End(R_n) is the n^2 maps x -> a*x + b, in closed form
+    (``enumerate_homs``), and phi(a·c + b·1) = a·phi(c) + b·1, so phi
+    sends the out-edges of c onto those of phi(c).  Vertices are looked
+    up by their values, and the witness is verified edge by edge, with
+    the labels: for every map f it must carry q1's row of f onto q2's
+    (``_keeps_rows``).
+    """
+    phi = modules[1]
+    if phi is None:
+        return (False, None)
+    position = {c.values: w for w, c in enumerate(q2.vertices)}
+    witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
+    if not _keeps_rows(q1, q2, witness):
+        raise AssertionError("the coloring module map is not a quiver isomorphism")
+    return (True, witness)
 
 
 def _keeps_rows(q1: WeightedQuiver, q2: WeightedQuiver, w: tuple[int, ...]) -> bool:

@@ -22,10 +22,9 @@ from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import mochizuki
 from quiverknot.quandle import enumerate_homs, make_dihedral, table_text
 from quiverknot.quiver import (
-    _keeps_rows,
-    _verify_witness,
     coloring_quiver,
     end_modules,
+    quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,
     to_dot,
@@ -174,11 +173,10 @@ def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     assert blob["outputs"]["isomorphic"] is True
     assert calls == [8]
     # PD text named twice builds one Diagram, reduced once, and one quiver.
-    # The End path builds its quivers inside quiverknot.quiver.
     calls.clear()
     built = []
-    real_quiver = quiverknot.quiver.coloring_quiver
-    monkeypatch.setattr(quiverknot.quiver, "coloring_quiver",
+    real_quiver = quiverknot.cli.coloring_quiver
+    monkeypatch.setattr(quiverknot.cli, "coloring_quiver",
                         lambda *a: built.append(a[0]) or real_quiver(*a))
     pd = load_catalog().entries["8_18"].pd
     blob = run_json(capsys, "compare", pd, pd, "--quandle", "dihedral:5", "--endos", "all")
@@ -414,14 +412,15 @@ def test_cli_compare(capsys):
 
 def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeypatch, tmp_path):
     # An unweighted compare over the n^2 maps x -> a*x + b of a dihedral
-    # quandle is decided by end_modules: on a self-compare the module
-    # types agree, so it builds the quiver and proves its witness with
-    # one _keeps_rows call, and no quiver_isomorphic call is made.
-    # Everything else makes one quiver_isomorphic call, which refines and
-    # searches; a weighted compare does not ask end_modules.
+    # quandle asks end_modules first; on a self-compare the module types
+    # agree, so compare builds the quivers and its one quiver_isomorphic
+    # call proves the module witness with one _keeps_rows call, with no
+    # refinement.  Every other compare makes one quiver_isomorphic call,
+    # which refines and searches; a weighted one does not ask end_modules.
     calls = []
     for module, name in ((quiverknot.cli, "end_modules"),
                          (quiverknot.cli, "quiver_isomorphic"),
+                         (quiverknot.quiver, "end_quiver_isomorphic"),
                          (quiverknot.quiver, "_keeps_rows"),
                          (quiverknot.quiver, "_joint_refine")):
         real = getattr(module, name)
@@ -430,7 +429,7 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
     path = tmp_path / "r5.txt"
     path.write_text(table_text(make_dihedral(5)))
     every_pair = ";".join(f"{a},{b}" for a in range(5) for b in range(5))
-    module = ["end_modules", "_keeps_rows"]
+    module = ["end_modules", "quiver_isomorphic", "end_quiver_isomorphic", "_keeps_rows"]
     searched = ["end_modules", "quiver_isomorphic", "_joint_refine"]
     cases = [
         ("dihedral:5", ["--endos", "all"], module),
@@ -467,11 +466,9 @@ def test_cli_compare_of_unequal_module_types_builds_no_quiver(capsys, monkeypatc
 
 
 def test_cli_compare_matches_searched_quivers_on_equal_count_pairs(capsys, catalog):
-    # The CLI prints end_modules' counts, verdict and witness, whose
-    # quivers are built on vertex lists read off the coloring modules.
-    # The witness must be an isomorphism of the quivers built on the
-    # searched colorings, so those lists are the searched ones, in the
-    # same order (the module verdicts are checked against the
+    # The CLI reads the verdict and the vertex lists off the coloring
+    # modules; its JSON must be the one built from quivers on the
+    # searched colorings (the module verdicts are checked against the
     # isomorphism search in test_quiver.py).
     names = catalog.names()
     compared = Counter()
@@ -484,12 +481,8 @@ def test_cli_compare_matches_searched_quivers_on_equal_count_pairs(capsys, catal
                 qa, qb = quivers[a], quivers[b]
                 if qa.n_vertices != qb.n_vertices:
                     continue
-                counts, witness = end_modules(X, end, catalog.diagram(a), catalog.diagram(b))
-                assert counts == [qa.n_vertices, qb.n_vertices], (n, a, b)
-                iso = witness is not None
-                if iso:
-                    assert _keeps_rows(qa, qb, witness), (n, a, b)
-                    assert _verify_witness(qa, qb, witness, False), (n, a, b)
+                modules = end_modules(X, end, catalog.diagram(a), catalog.diagram(b))
+                iso, witness = quiver_isomorphic(qa, qb, over=modules)
                 params = {"knotA": a, "knotB": b, "quandle": f"dihedral:{n}",
                           "endos": "all", "weighted": False}
                 outputs = {"counts": [qa.n_vertices, qb.n_vertices], "isomorphic": iso,

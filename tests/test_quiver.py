@@ -35,11 +35,11 @@ from quiverknot.quiver import (
     _gather,
     _joint_refine,
     _keeps_rows,
-    _module_map,
     _verify_witness,
     cocycle_polynomial,
     coloring_quiver,
     end_modules,
+    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_json_chunks,
     quiver_to_json,
@@ -761,22 +761,18 @@ def test_large_self_compare_returns_the_identity(catalog):
 
 def module_verdicts_against_search(diagrams, orders):
     """Every ordered pair of the diagrams' End(R_n)-quivers: the module
-    counts must be the quivers' sizes and the module verdict the
-    search's, and each module witness must be a labelled isomorphism of
-    the quivers built on the enumerated colorings, the identity on a
-    self-compare.  Returns the verdicts."""
+    verdict must be the search's, and each module witness must be an
+    isomorphism, the identity on a self-compare.  Returns the verdicts."""
     verdicts = Counter()
     for n in orders:
         X = make_dihedral(n)
         end = enumerate_homs(X, X)
         quivers = [coloring_quiver(d, X, end) for d in diagrams]
         for (da, qa), (db, qb) in product(zip(diagrams, quivers), repeat=2):
-            counts, witness = end_modules(X, end, da, db)
-            assert counts == [qa.n_vertices, qb.n_vertices], n
-            iso = witness is not None
+            iso, witness = end_quiver_isomorphic(qa, qb, end_modules(X, end, da, db))
             assert iso == quiver_isomorphic(qa, qb)[0], (n, qa.n_vertices, qb.n_vertices)
+            assert iso == (witness is not None)
             if iso:
-                assert _keeps_rows(qa, qb, witness)
                 assert _verify_witness(qa, qb, witness, False)
             if da is db:
                 assert witness == tuple(range(qa.n_vertices))
@@ -806,10 +802,9 @@ def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
 
 
 def test_module_colorings_are_the_enumerated_colorings(catalog):
-    # The vertex lists end_modules builds its End(R_n)-quivers on are
-    # read off the coloring modules, with no search: they must be the
-    # colorings the search finds, in its order, and the counts their
-    # number.
+    # The vertex lists compare builds its End(R_n)-quivers on are read off
+    # the coloring modules, with no search: they must be the colorings the
+    # search finds, in its order, and the counts their number.
     knots = [catalog.entries[name].pd for name in catalog.names()]
     knots.remove("unknot")
     rng = random.Random(26)
@@ -822,10 +817,10 @@ def test_module_colorings_are_the_enumerated_colorings(catalog):
         end = enumerate_homs(X, X)
         for d, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
             colorings = [c.values for c in enumerate_colorings(d, X)]
-            counts, phi = _module_map(X, d, d)
+            counts, phi = end_modules(X, end, d, d)
             assert counts == [len(colorings)] * 2, n
             assert sorted(phi) == sorted(phi.values()) == colorings
-            counts, phi = _module_map(X, other, d)
+            counts, phi = end_modules(X, end, other, d)
             assert counts[1] == len(colorings)
             assert phi is None or sorted(phi.values()) == colorings
     # Only all of End(R_n) is read off the modules.
@@ -841,8 +836,9 @@ def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch)
     end = enumerate_homs(X, X)
     da, db = catalog.diagram("6_1"), catalog.diagram("8_10")
     qa, qb = coloring_quiver(da, X, end), coloring_quiver(db, X, end)
-    counts, witness = end_modules(X, end, da, db)
-    assert witness is not None and _keeps_rows(qa, qb, witness)
+    modules = end_modules(X, end, da, db)
+    iso, witness = end_quiver_isomorphic(qa, qb, modules)
+    assert iso and _keeps_rows(qa, qb, witness)
     # Vertex 0, the constant coloring 0, has 9 distinct out-neighbours and
     # a non-constant vertex more, so swapping their images is no isomorphism.
     k = next(v for v, c in enumerate(qa.vertices) if len(set(c.values)) > 1)
@@ -862,7 +858,7 @@ def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch)
     # a rejected module witness is an error, not a verdict
     monkeypatch.setattr(quiverknot.quiver, "_keeps_rows", lambda *args: False)
     with pytest.raises(AssertionError):
-        end_modules(X, end, da, db)
+        end_quiver_isomorphic(qa, qb, modules)
 
 
 def test_end_of_a_dihedral_quandle_is_its_affine_maps():
