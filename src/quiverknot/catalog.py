@@ -8,8 +8,9 @@ each is built and checked against its fingerprint once, the first time
 the process uses it; a user file's entries are built and checked at
 each load.  Dihedral coloring counts for any n follow from those
 divisors, so a corrupted PD code cannot silently feed the invariants.
-The check reads ``Diagram.coloring_reduction``, the one elimination that
-every later count and End(R_n)-quiver compare of the diagram reuses.
+The check reads ``Diagram.coloring_reduction``, the one reduction that
+every later R_n count, R_n listing and End(R_n)-quiver compare of the
+diagram reuses.
 """
 
 from __future__ import annotations

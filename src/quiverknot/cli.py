@@ -24,11 +24,14 @@ verdict from the coloring modules first (``end_modules``): unequal
 module types print the counts and a null witness with no quiver built
 and no ``quiver_isomorphic`` call; equal types build both quivers on
 the module's colorings and prove its witness through
-``quiver_isomorphic``.  Each option is declared once, in
-``OPTIONS``, and the parser is built once per process, so in-process
-callers do not rebuild it per call.  ``main`` looks the command up by
-name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
-tracer, a test's monkeypatch) is the function called.
+``quiver_isomorphic``.  A weighted ``compare`` reads each knot's
+multiset over every base off its shadow quiver at ``--base``
+(``_weight_multiset``), so no shadow is extended twice.  Each option is
+declared once, in ``OPTIONS``, and the parser is built once per
+process, so in-process callers do not rebuild it per call.  ``main``
+looks the command up by name at call time, so a wrapper set later on a
+``cmd_*`` attribute (a tracer, a test's monkeypatch) is the function
+called.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .catalog import Catalog, CatalogError, load_catalog
+# invariant_multiset is not called here; perfbench's tracer wraps it by
+# this name (WRAP_POINTS), so it stays importable from this module.
 from .cocycle import Cocycle3, invariant_multiset, mochizuki, multiset_to_json
 from .coloring import Coloring, count_colorings_dihedral, enumerate_colorings
 from .diagram import (
@@ -265,16 +270,26 @@ def _quiver(args, catalog: Catalog, weighted: bool):
     return _build_quivers(resolved, *inputs)[args.knot]
 
 
-def _weight_multiset(d: Diagram, X: FiniteQuandle, theta: Cocycle3, base: int,
-                     q) -> Counter:
-    """``invariant_multiset(d, X, theta)`` over the shadow quiver q's
-    colorings: the part of ``base`` is q's weights, and only the other
-    bases are extended here."""
-    multiset = Counter(q.weights)
-    for other in range(X.order):
-        if other != base:
-            multiset.update(invariant_multiset(d, X, theta, other, colorings=q.vertices))
-    return multiset
+def _weight_multiset(X: FiniteQuandle, q) -> Counter:
+    """``invariant_multiset(d, X, theta)``, the weights of all shadow
+    colorings of d over R_p (p an odd prime, as ``mochizuki`` requires),
+    read off the shadow quiver q of d at one base b: p times the
+    multiset of q's weights.  No shadow is extended here.
+
+    - x -> x*y = 2y - x is an automorphism of R_p.  So applying it to
+      every arc and region label of a shadow coloring S gives a shadow
+      coloring S*y.
+    - W(S*y) = W(S).  Draw a circle labelled y in the unbounded region
+      and sweep it over the whole diagram by Reidemeister moves.  It ends
+      around the diagram with S*y inside it.  The moves keep each weight
+      sum, and the circle has no crossings before or after.
+    - Two such maps compose to x -> x + 2(z - y).  Since p is odd, that
+      gives every translation.
+    - So S -> S + k maps the base-b shadow colorings one-to-one onto the
+      base-(b+k) ones, weight for weight.  Every base therefore has the
+      multiset of ``q.weights``.
+    """
+    return Counter({w: X.order * m for w, m in Counter(q.weights).items()})
 
 
 def _dot_output(args, q) -> bool:
@@ -360,8 +375,8 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
         iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=modules)
         counts = [qA.n_vertices, qB.n_vertices]
         if args.weighted:
-            mA = _weight_multiset(dA, X, theta, base, qA)
-            mB = mA if qB is qA else _weight_multiset(dB, X, theta, base, qB)
+            mA = _weight_multiset(X, qA)
+            mB = mA if qB is qA else _weight_multiset(X, qB)
             outputs["multisets"] = {
                 "A": multiset_to_json(mA),
                 "B": multiset_to_json(mB),

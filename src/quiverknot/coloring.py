@@ -6,21 +6,24 @@ shadow coloring additionally labels every region so that crossing an
 edge from its right side to its left side acts by the edge's arc label:
 ``c(left) == c(right) * c(arc)``.
 
-Enumeration is a depth-first search over arcs with unit propagation,
-branching in a fail-first order; counting over dihedral quandles reads
-the elementary divisors of the linearized crossing relations
-(x + z - 2y = 0 over Z_n) off ``Diagram.coloring_reduction``, which
-eliminates once per diagram.
+Over a dihedral quandle R_n the colorings are the solutions of the
+linearized crossing relations (x + z - 2y = 0 over Z_n), a Z_n-module.
+``Diagram.coloring_reduction`` reduces those relations once per
+diagram; counts are read off its elementary divisors, and the colorings
+are listed from the module basis read off its generators.  Over every
+other quandle enumeration is a depth-first search over arcs with unit
+propagation, branching in a fail-first order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .diagram import Diagram, coloring_rows
 from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack, check_order
-from .snf import solution_count_mod
+from .snf import kernel_basis, solution_count_mod
 
 
 class ShadowConflictError(RuntimeError):
@@ -154,22 +157,32 @@ def _branch_order(rels, touching) -> list[int]:
 def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     """All X-colorings, sorted by value vector.
 
-    ``_backtrack`` over the arcs relabelled by ``_branch_order``, so its
-    cost depends little on how the PD code numbers the arcs.  A crossing
-    with its under-in and over arcs known forces the under-out arc via
-    ``op``, and with under-out and over known forces under-in via
-    ``inv_op``.  The trail is the queue: each newly assigned arc visits
-    the crossings it touches.  When x -> x+1 is an automorphism of X,
-    c -> (arc -> c(arc) + 1) maps colorings to colorings, so the search
-    runs for one value of the first arc and ``_backtrack`` adds the
-    translates.  The driver's output is lexicographic in the relabelled
-    order only, so the colorings are mapped back and sorted.
+    Over R_n (a ``dihedral`` X) the colorings are the module listed by
+    ``module_colorings`` from the basis ``kernel_basis`` reads off
+    ``d.coloring_reduction``, with no search; the docstring of
+    ``Diagram.coloring_reduction`` gives the argument.
+
+    Over any other X: ``_backtrack`` over the arcs relabelled by
+    ``_branch_order``, so its cost depends little on how the PD code
+    numbers the arcs.  A crossing with its under-in and over arcs known
+    forces the under-out arc via ``op``, and with under-out and over
+    known forces under-in via ``inv_op``.  The trail is the queue: each
+    newly assigned arc visits the crossings it touches.  When x -> x+1 is
+    an automorphism of X, c -> (arc -> c(arc) + 1) maps colorings to
+    colorings, so the search runs for one value of the first arc and
+    ``_backtrack`` adds the translates.  The driver's output is
+    lexicographic in the relabelled order only, so the colorings are
+    mapped back.  Either way they are sorted.
 
     Known limitation: the rule reads no crossing sign, which is right
     only when * is an involution (dihedral quandles, Alexander with
     t^2 = 1).  Otherwise counts can change under a Reidemeister II move:
     over alexander:7:3, 3_1 has 49 colorings and 3_1_kinked 7.
     """
+    if X.is_dihedral:
+        n = X.order
+        found = module_colorings(n, d.n_arcs, kernel_basis(*d.coloring_reduction, n))
+        return [Coloring(v) for v in sorted(found)]
     rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
     touching: list[list[int]] = [[] for _ in range(d.n_arcs)]
     for c, rel in enumerate(rels):
@@ -207,6 +220,30 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
 
     found = _backtrack(d.n_arcs, X.order, propagate, X.translation_is_auto)
     return [Coloring(v) for v in sorted(tuple(s[p] for p in pos) for s in found)]
+
+
+def module_colorings(n: int, n_arcs: int,
+                     basis: list[tuple[int, tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The R_n-colorings b·1 + z_1·(0, y_1) + ... + z_k·(0, y_k) for b in
+    Z_n and z_i in Z_{g_i}, given the basis (g_i, y_i) of M', y_i holding
+    the values on arcs 1 onward; b varies fastest, then z_1, and so on.
+
+    Each arc's column of values is built whole: it starts as 0..n-1, and
+    each generator replaces it by the concatenation of its translates by
+    z·y_i[arc] for z = 0..g_i - 1, each a C-level lookup in a table of
+    x -> x + w mod n."""
+    shift = [tuple(range(w, n)) + tuple(range(w)) for w in range(n)]
+    size = n * math.prod(g for g, _ in basis)
+    columns = [list(range(n)) * (size // n)]
+    for arc in range(n_arcs - 1):
+        column = list(range(n))
+        for g, y in basis:
+            block, column = column, []
+            for z in range(g):
+                w = z * y[arc] % n
+                column += map(shift[w].__getitem__, block) if w else block
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def coloring_matrix(d: Diagram) -> ColoringMatrix:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .snf import smith_transform
+from .snf import smith_generators
 
 
 class ParseError(ValueError):
@@ -96,10 +96,11 @@ class Diagram:
     Three derived tables are computed on first read and cached on the
     object: ``shadow_plan`` (the region propagation order of a shadow
     extension), ``crossing_terms`` (what each crossing's cocycle weight
-    reads) and ``coloring_reduction`` (the one elimination of the
-    coloring rows, which the fingerprint, every R_n count and every
-    End(R_n)-quiver compare read).  They live and die with the diagram,
-    and ``with_r_infinity`` returns a fresh object that computes its own.
+    reads) and ``coloring_reduction`` (the one reduction of the
+    coloring rows, which the fingerprint, every R_n count, every R_n
+    listing and every End(R_n)-quiver compare read).  They live and die
+    with the diagram, and ``with_r_infinity`` returns a fresh object that
+    computes its own.
     Two concurrent first reads at worst compute the same value twice, so
     a diagram stays safe to share.
     """
@@ -180,22 +181,24 @@ class Diagram:
 
     @functools.cached_property
     def coloring_reduction(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """``(divisors, V)``: ``smith_transform`` of the ``coloring_rows``
-        without arc 0's column, with V's rows as tuples.
+        """``(divisors, generators)``: ``smith_generators`` of the
+        ``coloring_rows`` without arc 0's column, built sparse.
 
         Over Z_n the R_n-colorings are the module M of solutions of the
         coloring rows.  Every row sums to 0, so M holds the constants
         Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M', where M'
         holds the colorings with c(arc 0) = 0, the solutions of the rows
         without arc 0's column.  So |M| = n·|M'|, and
-        ``snf.kernel_basis_from_transform`` reads a basis of M' off V for
-        any n.  Column 0 is minus the sum of the others, so the full
-        matrix's elementary divisors are these ``divisors`` followed by
-        zeros, up to min(crossings, arcs).  The reduction reads no n.
+        ``snf.kernel_basis`` reads a basis of M' off the generators for
+        any n: generator k holds the values on arcs 1 onward.  Column 0
+        is minus the sum of the others, so the full matrix's elementary
+        divisors are these ``divisors`` followed by zeros, up to
+        min(crossings, arcs).  The reduction reads no n.
         """
-        rows = [row[1:] for row in coloring_rows(self)]
-        divisors, V = smith_transform(rows, self.n_arcs - 1)
-        return tuple(divisors), tuple(map(tuple, V))
+        rows = [{arc - 1: v for arc, v in row.items() if arc}
+                for row in _coloring_entries(self)]
+        divisors, generators = smith_generators(rows, self.n_arcs - 1)
+        return tuple(divisors), tuple(generators)
 
     def with_r_infinity(self, region: int) -> "Diagram":
         """The same diagram with a different face designated unbounded.
@@ -509,15 +512,25 @@ def emit_pd(d: Diagram) -> str:
     return " ".join("X({},{},{},{})".format(*cr.pd) for cr in d.crossings)
 
 
+def _coloring_entries(d: Diagram) -> list[dict[int, int]]:
+    """The nonzero entries of ``coloring_rows``, as {arc: coefficient}."""
+    rows = []
+    for cr in d.crossings:
+        row = {cr.under_in_arc: 1}
+        row[cr.over_arc] = row.get(cr.over_arc, 0) - 2
+        row[cr.under_out_arc] = row.get(cr.under_out_arc, 0) + 1
+        rows.append({arc: v for arc, v in row.items() if v})
+    return rows
+
+
 def coloring_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """One row per crossing, under_in - 2*over + under_out = 0 over the
     arcs: the R_n-coloring condition; coincident arcs sum."""
     rows = []
-    for cr in d.crossings:
+    for entries in _coloring_entries(d):
         row = [0] * d.n_arcs
-        row[cr.under_in_arc] += 1
-        row[cr.over_arc] -= 2
-        row[cr.under_out_arc] += 1
+        for arc, v in entries.items():
+            row[arc] = v
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -52,7 +52,7 @@ from operator import add, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .cocycle import Cocycle3, weight_sum
-from .coloring import Coloring, enumerate_colorings, extend_shadow
+from .coloring import Coloring, enumerate_colorings, extend_shadow, module_colorings
 from .diagram import Diagram
 from .quandle import (
     FiniteQuandle,
@@ -62,7 +62,7 @@ from .quandle import (
     is_affine_end,
     is_homomorphism,
 )
-from .snf import kernel_basis_from_transform
+from .snf import kernel_basis
 
 
 @dataclass(frozen=True)
@@ -538,9 +538,9 @@ def end_modules(
     The colorings of a diagram over R_n are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
     ``Diagram.coloring_reduction`` gives the argument.  A basis of M' is
-    read off each diagram's cached reduction by
-    ``kernel_basis_from_transform``, with no elimination, and
-    |M| = n·(the product of the basis orders).
+    read off the generators of each diagram's cached reduction by
+    ``kernel_basis``, with no elimination, and |M| = n·(the product of
+    the basis orders).
 
     Not isomorphic when the orders of the two bases differ.  Proof:
     vertex c has the out-neighbours a·c + b·1 for (a, b) in Z_n^2, which
@@ -554,27 +554,20 @@ def end_modules(
 
     Otherwise the map phi with phi(1) = 1 that sends each basis
     generator of d1 to d2's at the same place, of the same order, is a
-    module isomorphism M1 -> M2; it is enumerated here, element by
-    element.
+    module isomorphism M1 -> M2.  ``module_colorings`` lists both modules
+    by the same coefficients in the same order, so phi pairs its two
+    lists place by place.
     """
     if not is_affine_end(X, S):
         return None
     n = X.order
-    bases = [kernel_basis_from_transform(*d.coloring_reduction, n) for d in (d1, d2)]
+    bases = [kernel_basis(*d.coloring_reduction, n) for d in (d1, d2)]
     orders = [[g for g, _ in basis] for basis in bases]
     counts = [n * math.prod(o) for o in orders]
     if orders[0] != orders[1]:
         return counts, None
-
-    def plus(c: tuple[int, ...], z: int, y: tuple[int, ...]) -> tuple[int, ...]:
-        """c + z·(0, y) over Z_n: y holds the values on arcs 1 onward."""
-        return c[:1] + tuple((u + z * v) % n for u, v in zip(c[1:], y))
-
-    # Every (c, phi(c)): the constants, then each generator's multiples added.
-    pairs = [((b,) * d1.n_arcs, (b,) * d2.n_arcs) for b in range(n)]
-    for (g, y1), (_, y2) in zip(*bases):
-        pairs = [(plus(c1, z, y1), plus(c2, z, y2)) for z in range(g) for c1, c2 in pairs]
-    return counts, dict(pairs)
+    return counts, dict(zip(*(module_colorings(n, d.n_arcs, basis)
+                              for d, basis in zip((d1, d2), bases))))
 
 
 def end_quiver_isomorphic(

@@ -160,7 +160,9 @@ def test_builtin_diagrams_are_built_once_per_process(
 
 def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     # The fingerprint, every R_n count and every End(R_n) compare of a
-    # diagram read its one cached coloring_reduction.
+    # diagram read its one cached coloring_reduction.  Its unit pivots are
+    # eliminated sparsely, so the dense elimination sees only the core
+    # left: 3 of 8_18's 8 rows.
     calls = []
     real = quiverknot.snf._eliminate
     monkeypatch.setattr(quiverknot.snf, "_eliminate",
@@ -171,7 +173,7 @@ def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     assert blob["outputs"]["count"] == 675
     blob = run_json(capsys, "compare", "8_18", "8_18", "--quandle", "dihedral:5", "--endos", "all")
     assert blob["outputs"]["isomorphic"] is True
-    assert calls == [8]
+    assert calls == [3]
     # PD text named twice builds one Diagram, reduced once, and one quiver.
     calls.clear()
     built = []
@@ -181,7 +183,7 @@ def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     pd = load_catalog().entries["8_18"].pd
     blob = run_json(capsys, "compare", pd, pd, "--quandle", "dihedral:5", "--endos", "all")
     assert blob["outputs"]["witness"] == list(range(25))
-    assert calls == [8]
+    assert calls == [3]
     assert len(built) == 1
     # A name against its own PD text is two diagrams, so two quivers, on
     # equal vertex lists: the witness is the identity.
@@ -189,7 +191,7 @@ def test_one_elimination_per_diagram(capsys, monkeypatch, unbuilt_builtins):
     built.clear()
     blob = run_json(capsys, "compare", "8_18", pd, "--quandle", "dihedral:5", "--endos", "all")
     assert blob["outputs"]["witness"] == list(range(25))
-    assert calls == [8]
+    assert calls == [3]
     assert len(built) == 2 and built[0] is not built[1]
 
 
@@ -621,8 +623,9 @@ def test_cli_compare_takes_cocycle_and_base_only_when_weighted(capsys):
 
 
 def test_cli_weighted_compare_extends_each_shadow_once_per_base(capsys, monkeypatch, catalog):
-    # the weights the shadow quivers hold at --base are not extended again
-    # for the multisets: 25 colorings per knot, one extension per base
+    # the multisets are the weights the shadow quivers hold at --base,
+    # times p, so no shadow is extended again: 25 colorings per knot, each
+    # extended once, at --base
     from quiverknot import cocycle as cocycle_module
     from quiverknot import quiver as quiver_module
     from quiverknot.cocycle import invariant_multiset, multiset_to_json
@@ -636,12 +639,38 @@ def test_cli_weighted_compare_extends_each_shadow_once_per_base(capsys, monkeypa
         calls.clear()
         blob = run_json(capsys, "compare", "4_1", "5_1", "--quandle", "dihedral:5",
                         "--weighted", "--base", str(base))
-        assert len(calls) == 250
-        assert sorted(Counter(args[3] for args in calls).values()) == [50] * 5
+        assert len(calls) == 50
+        assert Counter(args[3] for args in calls) == {base: 50}
         X, theta = make_dihedral(5), mochizuki(5)
         for side, knot in (("A", "4_1"), ("B", "5_1")):
             full = invariant_multiset(catalog.diagram(knot), X, theta)
             assert blob["outputs"]["multisets"][side] == multiset_to_json(full)
+
+
+def test_cli_weighted_multisets_are_the_all_base_multisets(capsys, catalog):
+    # compare reads each multiset off one base's quiver; it must be
+    # invariant_multiset's sum over every base, on every equal-count
+    # catalog pair over R_3..R_13 and at every base.  The multisets read
+    # no endomorphism, so the one map x -> x keeps the quivers small.
+    from quiverknot.cocycle import invariant_multiset, multiset_to_json
+
+    names = catalog.names()
+    compared = 0
+    for p in (3, 5, 7, 11, 13):
+        X, theta = make_dihedral(p), mochizuki(p)
+        full = {k: invariant_multiset(catalog.diagram(k), X, theta) for k in names}
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                if sum(full[a].values()) != sum(full[b].values()):
+                    continue
+                for base in range(p):
+                    blob = run_json(capsys, "compare", a, b, "--quandle", f"dihedral:{p}",
+                                    "--endos", "1,0", "--weighted", "--base", str(base))
+                    assert blob["outputs"]["multisets"] == {
+                        "A": multiset_to_json(full[a]), "B": multiset_to_json(full[b]),
+                        "equal": full[a] == full[b]}, (p, a, b, base)
+                    compared += 1
+    assert compared > 300
 
 
 def test_cli_weighted_compare_builds_one_shadow_plan_per_diagram(

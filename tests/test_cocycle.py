@@ -1,5 +1,6 @@
 """Cocycle tables, crossing weights and the weight-sum multiset."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -18,6 +19,7 @@ from quiverknot.cocycle import (
 from quiverknot.coloring import Coloring, ShadowColoring, enumerate_colorings, extend_shadow
 from quiverknot.diagram import build_diagram, parse_pd, unknot_diagram
 from quiverknot.quandle import InvalidParameterError, from_table, make_dihedral
+from pd_generators import relabel_pd, torus_pd
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -154,14 +156,25 @@ def test_figure_eight_base_histogram(catalog):
 
 
 def test_full_multiset_is_order_times_base_fixed(catalog):
-    for p in (3, 5):
+    # Every base b has the multiset of any other (the docstring of
+    # cli._weight_multiset proves it), so p times the base-b multiset is
+    # the sum over all bases: on every catalog knot, relabelled PD text,
+    # T(2,k) knots and links, for every b.
+    rng = random.Random(28)
+    texts = [relabel_pd(parse_pd(catalog.entries[name].pd).crossings, rng)[0]
+             for name in catalog.names() if catalog.diagram(name).n_crossings]
+    texts += [torus_pd(k) for k in range(2, 16)]
+    diagrams = [catalog.diagram(name) for name in catalog.names()]
+    diagrams += [build_diagram(parse_pd(text)) for text in texts]
+    for p in (3, 5, 7, 11, 13):
         Rp = make_dihedral(p)
         theta = mochizuki(p)
-        for name in ("3_1", "4_1", "5_2"):
-            d = catalog.diagram(name)
-            base_fixed = invariant_multiset(d, Rp, theta, base=0)
-            full = invariant_multiset(d, Rp, theta)
-            assert full == Counter({k: p * v for k, v in base_fixed.items()})
+        for d in diagrams:
+            colorings = enumerate_colorings(d, Rp)
+            full = invariant_multiset(d, Rp, theta, colorings=colorings)
+            for base in range(p):
+                base_fixed = invariant_multiset(d, Rp, theta, base, colorings)
+                assert full == Counter({k: p * v for k, v in base_fixed.items()}), (d.pd, p)
 
 
 def test_weight_independent_of_base_region(catalog):

@@ -31,7 +31,13 @@ from quiverknot.quandle import (
     make_alexander,
     make_dihedral,
 )
-from quiverknot.snf import kernel_basis_mod, smith_normal_form, smith_transform, solution_count_mod
+from quiverknot.snf import (
+    kernel_basis,
+    kernel_basis_mod,
+    smith_normal_form,
+    smith_transform,
+    solution_count_mod,
+)
 from pd_generators import meridian_chain_pd, relabel_pd, torus_pd, trefoil_sum_pd
 from test_diagram import KINKS
 from test_quandle import Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
@@ -106,10 +112,12 @@ def test_torus_knot_counts():
 
 
 def test_torus_knot_enumeration_matches_snf_count():
+    # The search, over untagged copies of R_n, against the divisor count.
     for k in range(3, 62, 2):
         d = build_diagram(parse_pd(torus_pd(k)))
         for n in range(3, 16):
-            assert len(enumerate_colorings(d, make_dihedral(n))) == count_colorings_dihedral(d, n)
+            X = from_table(make_dihedral(n).op)
+            assert len(enumerate_colorings(d, X)) == count_colorings_dihedral(d, n)
 
 
 def test_torus_knot_elementary_divisors():
@@ -133,10 +141,13 @@ def test_alexander_counts_survive_a_reidemeister_2_finger(catalog):
 
 
 def test_large_torus_knots_enumerate():
+    # Read off the coloring module over R_3, searched over its table copy.
     R3 = make_dihedral(3)
     for k in (101, 1001):
-        cols = enumerate_colorings(build_diagram(parse_pd(torus_pd(k))), R3)
-        assert [c.values for c in cols] == [(v,) * k for v in range(3)]
+        d = build_diagram(parse_pd(torus_pd(k)))
+        for X in (R3, from_table(R3.op)):
+            cols = enumerate_colorings(d, X)
+            assert [c.values for c in cols] == [(v,) * k for v in range(3)]
 
 
 def test_enumeration_independent_of_arc_labelling(catalog):
@@ -162,8 +173,11 @@ def test_enumeration_independent_of_arc_labelling(catalog):
 def test_orbit_search_matches_full_search(catalog, monkeypatch):
     # Same colorings in the same order, over quandles whose translation
     # x -> x+1 is an automorphism, on catalog, relabelled and T(2,k) diagrams.
+    # Colorings over a dihedral-tagged R_n are read off the coloring module,
+    # so untagged table copies of R_n take the search.
     rng = random.Random(13)
-    quandles = [make_dihedral(n) for n in range(2, 14)] + [make_alexander(27, 2)]
+    quandles = [from_table(make_dihedral(n).op) for n in range(2, 14)]
+    quandles.append(make_alexander(27, 2))
     diagrams = [catalog.diagram(name) for name in catalog.names()]
     for name in catalog.names():
         if catalog.diagram(name).n_crossings:
@@ -470,8 +484,62 @@ def test_snf_count_equals_enumeration(catalog):
         assert coloring_matrix(d).elementary_divisors == tuple(full)
         for n in range(2, 14):
             count = n * solution_count_mod(divisors, d.n_arcs - 1, n)
-            enumerated = len(enumerate_colorings(d, make_dihedral(n)))
+            enumerated = len(enumerate_colorings(d, from_table(make_dihedral(n).op)))
             assert count_colorings_dihedral(d, n) == count == enumerated, (d.pd, n)
+
+
+def oracle_diagrams(catalog):
+    """Catalog diagrams, their relabelled PD text, T(2,k) for k = 2..39
+    and 101 (links for even k), the meridian chains F(1..6) and sums of
+    one to four trefoils."""
+    rng = random.Random(28)
+    texts = [relabel_pd(parse_pd(catalog.entries[name].pd).crossings, rng)[0]
+             for name in catalog.names() if catalog.diagram(name).n_crossings]
+    texts += [torus_pd(k) for k in [*range(2, 40), 101]]
+    texts += [meridian_chain_pd(m) for m in range(1, 7)]
+    texts += [trefoil_sum_pd(m) for m in range(1, 5)]
+    return [catalog.diagram(name) for name in catalog.names()] + [
+        build_diagram(parse_pd(text)) for text in texts]
+
+
+ORACLE_ORDERS = [*range(1, 16), 27, 45]
+
+
+def test_sparse_reduction_matches_the_dense_oracle(catalog):
+    # The sparse divisors are the dense Smith form, the basis orders over
+    # Z_n are the dense transform's, each integer generator solves every
+    # row modulo its divisor, and each basis element every row mod n.
+    for d in oracle_diagrams(catalog):
+        divisors, generators = d.coloring_reduction
+        rows = [row[1:] for row in coloring_rows(d)]
+        dense = smith_normal_form(rows, d.n_arcs - 1)
+        assert list(divisors) == dense, d.pd
+        orders = [g for g in divisors if g != 1]
+        orders += [0] * (len(generators) - len(orders))
+        for order, y in zip(orders, generators):
+            for row in rows:
+                value = sum(a * v for a, v in zip(row, y))
+                assert (value % order if order else value) == 0, (d.pd, order)
+        for n in ORACLE_ORDERS:
+            basis = kernel_basis(divisors, generators, n)
+            want = kernel_basis_mod(rows, d.n_arcs - 1, n)
+            assert [g for g, _ in basis] == [g for g, _ in want], (d.pd, n)
+            for _, y in basis:
+                assert all(sum(a * v for a, v in zip(row, y)) % n == 0 for row in rows)
+
+
+def test_listed_colorings_match_the_search(catalog, monkeypatch):
+    # Over R_n the colorings are listed from the module, with no search;
+    # over the untagged table copy of R_n the search finds the same list.
+    flags = spy_backtrack(monkeypatch, quiverknot.coloring, full=False)
+    searched = 0
+    for d in oracle_diagrams(catalog):
+        for n in ORACLE_ORDERS:
+            X = make_dihedral(n)
+            listed = enumerate_colorings(d, X)
+            assert flags == [True] * searched
+            assert listed == enumerate_colorings(d, from_table(X.op)), (d.pd, n)
+            searched += 1
 
 
 def test_crt_factorization(catalog):
