@@ -8,12 +8,14 @@ only) meaning f(x) = a*x + b.
 
 Results go to stdout as a single JSON object (``--format text`` for a
 human summary, ``--dot FILE`` to write DOT output to a file).  Exit
-codes: 0 success, 2 usage or parameter error, 3 data or validation
-error.  Identical invocations produce byte-identical JSON apart from the
-trailing timing field, which gives the seconds from just before catalog
-load to just before that closing field is written, on a monotonic
-clock.  Quiver JSON and DOT are written one vertex at a time from the
-quiver's target table, so no whole edge list or output string is held.
+codes: 0 success, 2 usage or parameter error (an unwritable ``--dot``
+file and a stdout its reader closed early among them), 3 data or
+validation error.  Identical invocations produce byte-identical JSON
+apart from the trailing timing field, which gives the seconds from just
+before catalog load to just before that closing field is written, on a
+monotonic clock.  Quiver JSON and DOT are written one vertex at a time
+from the quiver's target table, so no whole edge list or output string
+is held.
 
 Every command checks its inputs in one order: knots, quandle,
 endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
@@ -23,15 +25,15 @@ whose n^2 maps x -> a*x + b are listed in closed form) takes its
 verdict from the coloring modules first (``end_modules``): unequal
 module types print the counts and a null witness with no quiver built
 and no ``quiver_isomorphic`` call; equal types build both quivers on
-the module's colorings and prove its witness through
-``quiver_isomorphic``.  A weighted ``compare`` reads each knot's
-multiset over every base off its shadow quiver at ``--base``
-(``_weight_multiset``), so no shadow is extended twice.  Each option is
-declared once, in ``OPTIONS``, and the parser is built once per
-process, so in-process callers do not rebuild it per call.  ``main``
-looks the command up by name at call time, so a wrapper set later on a
-``cmd_*`` attribute (a tracer, a test's monkeypatch) is the function
-called.
+the vertex lists ``end_modules`` returns and pass its witness, a tuple
+of vertex indices, to ``quiver_isomorphic`` as ``over``, which proves
+it.  A weighted ``compare`` reads each knot's multiset over every base
+off its shadow quiver at ``--base`` (``_weight_multiset``), so no
+shadow is extended twice.  Each option is declared once, in
+``OPTIONS``, and the parser is built once per process, so in-process
+callers do not rebuild it per call.  ``main`` looks the command up by
+name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
+tracer, a test's monkeypatch) is the function called.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -48,7 +51,7 @@ from .catalog import Catalog, CatalogError, load_catalog
 # invariant_multiset is not called here; perfbench's tracer wraps it by
 # this name (WRAP_POINTS), so it stays importable from this module.
 from .cocycle import Cocycle3, invariant_multiset, mochizuki, multiset_to_json
-from .coloring import Coloring, count_colorings_dihedral, enumerate_colorings
+from .coloring import count_colorings_dihedral, enumerate_colorings
 from .diagram import (
     Diagram,
     ParseError,
@@ -365,14 +368,13 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
     if modules is not None and modules[1] is None:
         counts, iso, witness = modules[0], False, None
     else:
-        colorings = None
+        colorings, over = None, None
         if modules is not None:
-            phi = modules[1]
-            colorings = {knot: list(map(Coloring, sorted(side)))
-                         for knot, side in zip(knots, (phi, phi.values()))}
+            *sides, over = modules[1]
+            colorings = dict(zip(knots, sides))
         quivers = _build_quivers(resolved, X, S, theta, base, colorings)
         qA, qB = (quivers[knot] for knot in knots)
-        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=modules)
+        iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=over)
         counts = [qA.n_vertices, qB.n_vertices]
         if args.weighted:
             mA = _weight_multiset(X, qA)
@@ -464,7 +466,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         catalog = load_catalog()
-        return globals()["cmd_" + args.subcommand](args, catalog, started)
+        code = globals()["cmd_" + args.subcommand](args, catalog, started)
+        sys.stdout.flush()  # a reader gone early is told here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull,
+        # so that the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,12 +33,12 @@ every mask with one ``&`` as each vertex is mapped, undoing the cuts
 from a trail on backtrack.  Quivers of two diagrams over R_n with all
 of End(R_n) need neither, nor need they be built to be told apart:
 ``end_modules`` reads the verdict off the diagrams' coloring modules
-before any quiver exists, with the colorings and the witness map when
-the module types agree.  Those colorings are the vertex lists of
-``coloring_quiver(..., colorings=...)``, and ``quiver_isomorphic``
-given ``end_modules``' result as ``over`` proves the witness
-(``end_quiver_isomorphic``).  A returned witness is always verified
-edge by edge.
+before any quiver exists and, when the module types agree, the two
+vertex lists and a witness as vertex indices.  The quivers are built
+on those lists (``coloring_quiver(..., colorings=...)``), and
+``quiver_isomorphic`` given the witness as ``over`` proves it row by
+row (``_keeps_rows``).  A returned witness is always verified edge by
+edge.
 """
 
 from __future__ import annotations
@@ -471,7 +471,7 @@ def _search(colors1, colors2, out1, in1, out2, in2) -> Optional[list[int]]:
 
 def quiver_isomorphic(
     q1: WeightedQuiver, q2: WeightedQuiver, respect_weights: bool = False,
-    over: Optional[tuple[list[int], Optional[dict]]] = None,
+    over: Optional[tuple[int, ...]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Decide directed-multigraph isomorphism, ignoring edge labels.
 
@@ -480,16 +480,19 @@ def quiver_isomorphic(
     (False, None) otherwise.  The witness is verified edge by edge
     before being returned.
 
-    ``over`` is ``end_modules(X, S, d1, d2)`` for the quandle, the maps
-    and the diagrams the quivers were built from, when S is all of
-    End(R_n).  With it, an unweighted compare is decided by
-    ``end_quiver_isomorphic``, whose witness may differ from the
-    search's; every other compare is searched.
+    ``over`` is the witness of ``end_modules(X, S, d1, d2)`` when S is
+    all of End(R_n) and the quivers were built on its vertex lists.  An
+    unweighted compare given it returns it once ``_keeps_rows`` has
+    proved it, row by row with the labels, with no refinement or search;
+    a witness that fails is an error, not a verdict.  Every other
+    compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
     if over is not None and not respect_weights:
-        return end_quiver_isomorphic(q1, q2, over)
+        if not _keeps_rows(q1, q2, over):
+            raise AssertionError("the coloring module map is not a quiver isomorphism")
+        return (True, over)
     if respect_weights:
         if q1.weights is None or q2.weights is None:
             raise InvalidParameterError("both quivers need weights to compare them")
@@ -524,16 +527,20 @@ def quiver_isomorphic(
 
 def end_modules(
     X: FiniteQuandle, S: Sequence[QuandleMap], d1: Diagram, d2: Diagram
-) -> Optional[tuple[list[int], Optional[dict]]]:
+) -> Optional[tuple[list[int], Optional[tuple]]]:
     """The verdict of ``quiver_isomorphic`` on the coloring quivers of d1
     and d2 over X with the maps S, read off the diagrams' coloring
     modules before either quiver is built.  None unless X is R_n and S
     is all of End(R_n), the n^2 maps x -> a*x + b (``is_affine_end``).
 
-    Returns (counts, phi): the two coloring counts, and phi, a module
-    isomorphism from d1's colorings to d2's as a dict of value tuples,
-    or None when the quivers are not isomorphic.  The keys and values of
-    phi, sorted, are the colorings ``enumerate_colorings`` lists.
+    Returns (counts, None) when the quivers are not isomorphic, and
+    otherwise (counts, (vertices1, vertices2, witness)).  counts are the
+    two coloring counts; the vertex lists are the colorings
+    ``enumerate_colorings`` lists; witness[v] is the index in vertices2
+    of the image of vertices1[v] under a module isomorphism phi.  Built
+    on those lists, the two quivers are isomorphic by that witness, which
+    ``quiver_isomorphic(q1, q2, over=witness)`` proves; it may differ
+    from the search's.
 
     The colorings of a diagram over R_n are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
@@ -555,8 +562,15 @@ def end_modules(
     Otherwise the map phi with phi(1) = 1 that sends each basis
     generator of d1 to d2's at the same place, of the same order, is a
     module isomorphism M1 -> M2.  ``module_colorings`` lists both modules
-    by the same coefficients in the same order, so phi pairs its two
-    lists place by place.
+    by the same coefficients in the same order, so phi sends the i-th
+    coloring of d1's list to the i-th of d2's.  With order_k the argsort
+    of list k, vertices_k[r] = list_k[order_k[r]], and the argsort of
+    order_2, its inverse, ranks d2's list in vertices2: witness[v] =
+    rank2[order1[v]], gathered with no lookup by value.
+    phi is a quiver isomorphism, label for label: End(R_n) is the n^2
+    maps x -> a*x + b, in closed form (``enumerate_homs``), and
+    phi(a·c + b·1) = a·phi(c) + b·1, so phi sends the edge of each map f
+    out of c to the edge of f out of phi(c).
     """
     if not is_affine_end(X, S):
         return None
@@ -566,35 +580,13 @@ def end_modules(
     counts = [n * math.prod(o) for o in orders]
     if orders[0] != orders[1]:
         return counts, None
-    return counts, dict(zip(*(module_colorings(n, d.n_arcs, basis)
-                              for d, basis in zip((d1, d2), bases))))
-
-
-def end_quiver_isomorphic(
-    q1: WeightedQuiver, q2: WeightedQuiver, modules: tuple[list[int], Optional[dict]]
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """The verdict of ``quiver_isomorphic(q1, q2)`` for the coloring
-    quivers of diagrams d1 and d2 over R_n with all of End(R_n), given
-    ``end_modules(X, S, d1, d2)``, with no refinement or search.  The
-    witness may differ from the search's.  ``compare`` reads that verdict
-    before it builds any quiver, and builds the two only when phi exists,
-    on phi's keys and values, each sorted, as vertex lists; this proves phi.
-
-    End(R_n) is the n^2 maps x -> a*x + b, in closed form
-    (``enumerate_homs``), and phi(a·c + b·1) = a·phi(c) + b·1, so phi
-    sends the out-edges of c onto those of phi(c).  Vertices are looked
-    up by their values, and the witness is verified edge by edge, with
-    the labels: for every map f it must carry q1's row of f onto q2's
-    (``_keeps_rows``).
-    """
-    phi = modules[1]
-    if phi is None:
-        return (False, None)
-    position = {c.values: w for w, c in enumerate(q2.vertices)}
-    witness = tuple(position.get(phi.get(c.values), -1) for c in q1.vertices)
-    if not _keeps_rows(q1, q2, witness):
-        raise AssertionError("the coloring module map is not a quiver isomorphism")
-    return (True, witness)
+    vertices, ranks = [], []
+    for d, basis in zip((d1, d2), bases):
+        listed = module_colorings(n, d.n_arcs, basis)
+        ranks.append(sorted(range(counts[0]), key=listed.__getitem__))
+        vertices.append(list(map(Coloring, _gather(listed, ranks[-1]))))
+    inverse = sorted(range(counts[0]), key=ranks[1].__getitem__)
+    return counts, (*vertices, _gather(inverse, ranks[0]))
 
 
 def _keeps_rows(q1: WeightedQuiver, q2: WeightedQuiver, w: tuple[int, ...]) -> bool:

@@ -23,13 +23,11 @@ from quiverknot.cocycle import mochizuki
 from quiverknot.quandle import enumerate_homs, make_dihedral, table_text
 from quiverknot.quiver import (
     coloring_quiver,
-    end_modules,
-    quiver_isomorphic,
     quiver_to_json,
     shadow_cocycle_quiver,
     to_dot,
 )
-from test_quiver import count_endo_checks
+from test_quiver import count_endo_checks, module_verdict
 
 
 @pytest.fixture(scope="module")
@@ -416,13 +414,13 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
     # An unweighted compare over the n^2 maps x -> a*x + b of a dihedral
     # quandle asks end_modules first; on a self-compare the module types
     # agree, so compare builds the quivers and its one quiver_isomorphic
-    # call proves the module witness with one _keeps_rows call, with no
-    # refinement.  Every other compare makes one quiver_isomorphic call,
-    # which refines and searches; a weighted one does not ask end_modules.
+    # call, given the module witness as over, proves it with one
+    # _keeps_rows call, with no refinement.  Every other compare makes one
+    # quiver_isomorphic call, which refines and searches; a weighted one
+    # does not ask end_modules.
     calls = []
     for module, name in ((quiverknot.cli, "end_modules"),
                          (quiverknot.cli, "quiver_isomorphic"),
-                         (quiverknot.quiver, "end_quiver_isomorphic"),
                          (quiverknot.quiver, "_keeps_rows"),
                          (quiverknot.quiver, "_joint_refine")):
         real = getattr(module, name)
@@ -431,7 +429,7 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
     path = tmp_path / "r5.txt"
     path.write_text(table_text(make_dihedral(5)))
     every_pair = ";".join(f"{a},{b}" for a in range(5) for b in range(5))
-    module = ["end_modules", "quiver_isomorphic", "end_quiver_isomorphic", "_keeps_rows"]
+    module = ["end_modules", "quiver_isomorphic", "_keeps_rows"]
     searched = ["end_modules", "quiver_isomorphic", "_joint_refine"]
     cases = [
         ("dihedral:5", ["--endos", "all"], module),
@@ -483,8 +481,8 @@ def test_cli_compare_matches_searched_quivers_on_equal_count_pairs(capsys, catal
                 qa, qb = quivers[a], quivers[b]
                 if qa.n_vertices != qb.n_vertices:
                     continue
-                modules = end_modules(X, end, catalog.diagram(a), catalog.diagram(b))
-                iso, witness = quiver_isomorphic(qa, qb, over=modules)
+                iso, witness = module_verdict(X, end, catalog.diagram(a), catalog.diagram(b),
+                                              qa, qb)
                 params = {"knotA": a, "knotB": b, "quandle": f"dihedral:{n}",
                           "endos": "all", "weighted": False}
                 outputs = {"counts": [qa.n_vertices, qb.n_vertices], "isomorphic": iso,
@@ -596,6 +594,24 @@ def test_cli_long_numbers_are_data_errors(tmp_path, knot, catalog_text, message)
     assert (run.returncode, run.stdout) == (3, "")
     assert run.stderr.startswith("error: ") and message in run.stderr
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("out", ["json", "dot"])
+def test_cli_reader_closing_the_pipe_is_a_usage_error(out):
+    # `| head -c 100`: the reader takes 100 bytes of several MB and closes
+    # the pipe; the write that fails then, or the flush at exit, must not
+    # print a traceback.
+    src = os.path.dirname(os.path.dirname(quiverknot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QUIVERKNOT_CATALOG", None)
+    with subprocess.Popen([sys.executable, "-m", "quiverknot", "quiver", "--knot", "8_10",
+                           "--quandle", "dihedral:27", "--out", out], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: stdout was closed before all output was written\n"
 
 
 def test_cli_compare_reports_a_bad_knot_before_a_bad_quandle(capsys):

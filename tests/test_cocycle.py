@@ -170,10 +170,9 @@ def test_full_multiset_is_order_times_base_fixed(catalog):
         Rp = make_dihedral(p)
         theta = mochizuki(p)
         for d in diagrams:
-            colorings = enumerate_colorings(d, Rp)
-            full = invariant_multiset(d, Rp, theta, colorings=colorings)
+            full = invariant_multiset(d, Rp, theta)
             for base in range(p):
-                base_fixed = invariant_multiset(d, Rp, theta, base, colorings)
+                base_fixed = invariant_multiset(d, Rp, theta, base)
                 assert full == Counter({k: p * v for k, v in base_fixed.items()}), (d.pd, p)
 
 

@@ -1,10 +1,13 @@
 """Quiver construction, isomorphism, polynomials and DOT export."""
 
 import hashlib
+import io
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from itertools import chain, combinations, permutations, product
 
@@ -12,7 +15,7 @@ import pytest
 
 import quiverknot.quiver
 from quiverknot.catalog import load_catalog
-from quiverknot.cli import parse_endo_spec, parse_quandle_spec
+from quiverknot.cli import main, parse_endo_spec, parse_quandle_spec
 from quiverknot.cocycle import invariant_multiset, mochizuki
 from quiverknot.coloring import apply_endo, enumerate_colorings
 from quiverknot.diagram import build_diagram, parse_pd, unknot_diagram
@@ -39,7 +42,6 @@ from quiverknot.quiver import (
     cocycle_polynomial,
     coloring_quiver,
     end_modules,
-    end_quiver_isomorphic,
     quiver_isomorphic,
     quiver_json_chunks,
     quiver_to_json,
@@ -749,6 +751,35 @@ def test_catalog_verdicts_and_witnesses_are_pinned(catalog):
     assert digest.hexdigest() == CATALOG_END_VERDICTS_SHA256
 
 
+# SHA-256 of the CLI's `compare --endos all` JSON below, timing stripped
+# and witnesses kept, recorded while compare still read its witness off
+# a map of value tuples.
+COMPARE_END_JSON_SHA256 = "9829cd3219743c399c0e26043185e047363e278f82aa0eac6320f5649d9f5818"
+
+
+def test_cli_end_compare_json_is_pinned(catalog):
+    # every ordered catalog pair over R_3, R_5, R_9 and R_15, and every
+    # ordered pair of 8_10, 8_18, 6_1 and a relabelled copy of each, at
+    # least one of them a copy, over those and R_27: 711 compares, whose
+    # witnesses are not the identity on the relabelled pairs
+    rng = random.Random(29)
+    names = catalog.names()
+    knots = ["8_10", "8_18", "6_1"]
+    knots += [relabel_pd(parse_pd(catalog.entries[k].pd).crossings, rng)[0] for k in knots]
+    pairs = [(n, a, b) for n in (3, 5, 9, 15) for a, b in product(names, repeat=2)]
+    pairs += [(n, a, b) for n in (3, 5, 9, 15, 27) for a, b in product(knots, repeat=2)
+              if a not in names or b not in names]
+    timing = re.compile(r', "timing": \{[^}]*\}')
+    digest = hashlib.sha256()
+    for n, a, b in pairs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["compare", a, b, "--quandle", f"dihedral:{n}", "--endos", "all"]) == 0
+        digest.update(timing.sub("", out.getvalue()).encode())
+    assert len(pairs) == 711
+    assert digest.hexdigest() == COMPARE_END_JSON_SHA256
+
+
 def test_large_self_compare_returns_the_identity(catalog):
     # 675 vertices and 151,875 edges in 4 refined classes: the search
     # assigns every vertex without a backtrack and keeps the identity
@@ -757,6 +788,18 @@ def test_large_self_compare_returns_the_identity(catalog):
     iso, witness = quiver_isomorphic(q, q)
     assert iso and witness == tuple(range(675))
     assert _verify_witness(q, q, witness, False)
+
+
+def module_verdict(X, S, da, db, qa, qb):
+    """The verdict compare reads for the End(R_n)-quivers qa and qb of da
+    and db, built on the enumerated colorings: none when the module types
+    differ, else ``end_modules``' witness, proved through ``over``.  Its
+    vertex lists must be the quivers' vertices."""
+    found = end_modules(X, S, da, db)[1]
+    if found is None:
+        return (False, None)
+    assert found[:2] == (list(qa.vertices), list(qb.vertices))
+    return quiver_isomorphic(qa, qb, over=found[2])
 
 
 def module_verdicts_against_search(diagrams, orders):
@@ -769,7 +812,7 @@ def module_verdicts_against_search(diagrams, orders):
         end = enumerate_homs(X, X)
         quivers = [coloring_quiver(d, X, end) for d in diagrams]
         for (da, qa), (db, qb) in product(zip(diagrams, quivers), repeat=2):
-            iso, witness = end_quiver_isomorphic(qa, qb, end_modules(X, end, da, db))
+            iso, witness = module_verdict(X, end, da, db, qa, qb)
             assert iso == quiver_isomorphic(qa, qb)[0], (n, qa.n_vertices, qb.n_vertices)
             assert iso == (witness is not None)
             if iso:
@@ -803,8 +846,9 @@ def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
 
 def test_module_colorings_are_the_enumerated_colorings(catalog):
     # The vertex lists compare builds its End(R_n)-quivers on are read off
-    # the coloring modules, with no search: they must be the colorings the
-    # search finds, in its order, and the counts their number.
+    # the coloring modules: they must be the colorings enumerate_colorings
+    # lists, in its order, the counts their number, and a self-compare's
+    # witness the identity.
     knots = [catalog.entries[name].pd for name in catalog.names()]
     knots.remove("unknot")
     rng = random.Random(26)
@@ -816,13 +860,14 @@ def test_module_colorings_are_the_enumerated_colorings(catalog):
         X = make_dihedral(n)
         end = enumerate_homs(X, X)
         for d, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
-            colorings = [c.values for c in enumerate_colorings(d, X)]
-            counts, phi = end_modules(X, end, d, d)
+            colorings = enumerate_colorings(d, X)
+            counts, (first, second, witness) = end_modules(X, end, d, d)
             assert counts == [len(colorings)] * 2, n
-            assert sorted(phi) == sorted(phi.values()) == colorings
-            counts, phi = end_modules(X, end, other, d)
+            assert first == second == colorings
+            assert witness == tuple(range(len(colorings)))
+            counts, found = end_modules(X, end, other, d)
             assert counts[1] == len(colorings)
-            assert phi is None or sorted(phi.values()) == colorings
+            assert found is None or found[:2] == (enumerate_colorings(other, X), colorings)
     # Only all of End(R_n) is read off the modules.
     R5 = make_dihedral(5)
     d = catalog.diagram("4_1")
@@ -831,21 +876,25 @@ def test_module_colorings_are_the_enumerated_colorings(catalog):
     assert end_modules(A, enumerate_homs(A, A), d, d) is None
 
 
-def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch):
+def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog):
     X = make_dihedral(9)
     end = enumerate_homs(X, X)
     da, db = catalog.diagram("6_1"), catalog.diagram("8_10")
-    qa, qb = coloring_quiver(da, X, end), coloring_quiver(db, X, end)
-    modules = end_modules(X, end, da, db)
-    iso, witness = end_quiver_isomorphic(qa, qb, modules)
-    assert iso and _keeps_rows(qa, qb, witness)
+    _, (va, vb, witness) = end_modules(X, end, da, db)
+    qa, qb = coloring_quiver(da, X, end, va), coloring_quiver(db, X, end, vb)
+    assert quiver_isomorphic(qa, qb, over=witness) == (True, witness)
+    assert _keeps_rows(qa, qb, witness)
     # Vertex 0, the constant coloring 0, has 9 distinct out-neighbours and
     # a non-constant vertex more, so swapping their images is no isomorphism.
     k = next(v for v, c in enumerate(qa.vertices) if len(set(c.values)) > 1)
     swapped = list(witness)
     swapped[0], swapped[k] = swapped[k], swapped[0]
-    assert not _keeps_rows(qa, qb, tuple(swapped))
-    assert not _verify_witness(qa, qb, tuple(swapped), False)
+    swapped = tuple(swapped)
+    assert not _keeps_rows(qa, qb, swapped)
+    assert not _verify_witness(qa, qb, swapped, False)
+    # a rejected module witness is an error, not a verdict
+    with pytest.raises(AssertionError):
+        quiver_isomorphic(qa, qb, over=swapped)
     # c -> 2c sends the edges of x -> a*x + b onto those of x -> a*x + 2b:
     # an isomorphism of the unlabelled quiver, but not of the labelled one.
     position = {c.values: w for w, c in enumerate(qa.vertices)}
@@ -855,10 +904,6 @@ def test_row_check_rejects_what_is_no_labelled_isomorphism(catalog, monkeypatch)
     # the rows must pair up by image
     assert not _keeps_rows(qa, replace(qa, endos=qa.endos[1:], targets=qa.targets[1:]),
                            tuple(range(qa.n_vertices)))
-    # a rejected module witness is an error, not a verdict
-    monkeypatch.setattr(quiverknot.quiver, "_keeps_rows", lambda *args: False)
-    with pytest.raises(AssertionError):
-        end_quiver_isomorphic(qa, qb, modules)
 
 
 def test_end_of_a_dihedral_quandle_is_its_affine_maps():
