@@ -24,16 +24,16 @@ endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
 whose n^2 maps x -> a*x + b are listed in closed form) takes its
 verdict from the coloring modules first (``end_modules``): unequal
 module types print the counts and a null witness with no quiver built
-and no ``quiver_isomorphic`` call; equal types build both quivers on
-the vertex lists ``end_modules`` returns and pass its witness, a tuple
-of vertex indices, to ``quiver_isomorphic`` as ``over``, which proves
-it.  A weighted ``compare`` reads each knot's multiset over every base
-off its shadow quiver at ``--base`` (``_weight_multiset``), so no
-shadow is extended twice.  Each option is declared once, in
-``OPTIONS``, and the parser is built once per process, so in-process
-callers do not rebuild it per call.  ``main`` looks the command up by
-name at call time, so a wrapper set later on a ``cmd_*`` attribute (a
-tracer, a test's monkeypatch) is the function called.
+and no ``quiver_isomorphic`` call; equal types build both quivers and
+pass the witness ``end_modules`` returns, a tuple of vertex indices,
+to ``quiver_isomorphic`` as ``over``, which proves it.  A weighted
+``compare`` reads each knot's multiset over every base off its shadow
+quiver at ``--base`` (``_weight_multiset``), so no shadow is extended
+twice.  Each option is declared once, in ``OPTIONS``, and the parser
+is built once per process, so in-process callers do not rebuild it per
+call.  ``main`` looks the command up by name at call time, so a
+wrapper set later on a ``cmd_*`` attribute (a tracer, a test's
+monkeypatch) is the function called.
 """
 
 from __future__ import annotations
@@ -255,16 +255,12 @@ def _inputs(args, catalog: Catalog, knots: list[str], weighted: bool):
     return resolved, X, S, None, None
 
 
-def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base,
-                   colorings: Optional[dict] = None) -> dict:
+def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base) -> dict:
     """One quiver per distinct knot string: a shadow cocycle quiver when
-    theta is given, else a coloring quiver, over ``colorings[knot]`` when
-    the caller has them."""
+    theta is given, else a coloring quiver."""
     if theta is not None:
         return {knot: shadow_cocycle_quiver(d, X, S, base, theta) for knot, d in resolved.items()}
-    colorings = colorings or {}
-    return {knot: coloring_quiver(d, X, S, colorings.get(knot))
-            for knot, d in resolved.items()}
+    return {knot: coloring_quiver(d, X, S) for knot, d in resolved.items()}
 
 
 def _quiver(args, catalog: Catalog, weighted: bool):
@@ -368,12 +364,9 @@ def cmd_compare(args, catalog: Catalog, started: float) -> int:
     if modules is not None and modules[1] is None:
         counts, iso, witness = modules[0], False, None
     else:
-        colorings, over = None, None
-        if modules is not None:
-            *sides, over = modules[1]
-            colorings = dict(zip(knots, sides))
-        quivers = _build_quivers(resolved, X, S, theta, base, colorings)
+        quivers = _build_quivers(resolved, X, S, theta, base)
         qA, qB = (quivers[knot] for knot in knots)
+        over = None if modules is None else modules[1]
         iso, witness = quiver_isomorphic(qA, qB, respect_weights=args.weighted, over=over)
         counts = [qA.n_vertices, qB.n_vertices]
         if args.weighted:

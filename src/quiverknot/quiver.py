@@ -33,10 +33,9 @@ every mask with one ``&`` as each vertex is mapped, undoing the cuts
 from a trail on backtrack.  Quivers of two diagrams over R_n with all
 of End(R_n) need neither, nor need they be built to be told apart:
 ``end_modules`` reads the verdict off the diagrams' coloring modules
-before any quiver exists and, when the module types agree, the two
-vertex lists and a witness as vertex indices.  The quivers are built
-on those lists (``coloring_quiver(..., colorings=...)``), and
-``quiver_isomorphic`` given the witness as ``over`` proves it row by
+before any quiver exists and, when the module types agree, a witness
+as vertex indices into the colorings ``enumerate_colorings`` lists.
+``quiver_isomorphic`` given that witness as ``over`` proves it row by
 row (``_keeps_rows``).  A returned witness is always verified edge by
 edge.
 """
@@ -180,15 +179,9 @@ def _codes(columns: Sequence[Sequence[int]], n_vertices: int, order: int,
     return out
 
 
-def coloring_quiver(
-    d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap],
-    colorings: Optional[Sequence[Coloring]] = None,
-) -> WeightedQuiver:
-    """The coloring quiver of D over X with edge set S = endos.
-
-    ``colorings`` are the X-colorings of D in ``enumerate_colorings``'
-    order, sorted by value vector, when the caller already has them (as
-    ``end_modules`` gives them); otherwise they are enumerated here.
+def coloring_quiver(d: Diagram, X: FiniteQuandle, endos: Sequence[QuandleMap]) -> WeightedQuiver:
+    """The coloring quiver of D over X with edge set S = endos, on the
+    colorings ``enumerate_colorings`` lists, in its order.
 
     A row of targets is built directly from the determining arcs, on
     which the colorings project injectively: the values on those arcs
@@ -206,7 +199,7 @@ def coloring_quiver(
     ``_gather`` in C.
     """
     S = _check_endos(X, endos)
-    vertices = tuple(enumerate_colorings(d, X) if colorings is None else colorings)
+    vertices = tuple(enumerate_colorings(d, X))
     n = X.order
     columns = [[c.values[arc] for c in vertices] for arc in _determining_arcs(vertices)]
     index = {code: vi for vi, code in enumerate(_codes(columns, len(vertices), n, range(n)))}
@@ -481,11 +474,11 @@ def quiver_isomorphic(
     before being returned.
 
     ``over`` is the witness of ``end_modules(X, S, d1, d2)`` when S is
-    all of End(R_n) and the quivers were built on its vertex lists.  An
-    unweighted compare given it returns it once ``_keeps_rows`` has
-    proved it, row by row with the labels, with no refinement or search;
-    a witness that fails is an error, not a verdict.  Every other
-    compare is searched.
+    all of End(R_n) and q1, q2 are the coloring quivers of d1, d2 with
+    S.  An unweighted compare given it returns it once ``_keeps_rows``
+    has proved it, row by row with the labels, with no refinement or
+    search; a witness that fails is an error, not a verdict.  Every
+    other compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
@@ -527,20 +520,19 @@ def quiver_isomorphic(
 
 def end_modules(
     X: FiniteQuandle, S: Sequence[QuandleMap], d1: Diagram, d2: Diagram
-) -> Optional[tuple[list[int], Optional[tuple]]]:
+) -> Optional[tuple[list[int], Optional[tuple[int, ...]]]]:
     """The verdict of ``quiver_isomorphic`` on the coloring quivers of d1
     and d2 over X with the maps S, read off the diagrams' coloring
     modules before either quiver is built.  None unless X is R_n and S
     is all of End(R_n), the n^2 maps x -> a*x + b (``is_affine_end``).
 
     Returns (counts, None) when the quivers are not isomorphic, and
-    otherwise (counts, (vertices1, vertices2, witness)).  counts are the
-    two coloring counts; the vertex lists are the colorings
-    ``enumerate_colorings`` lists; witness[v] is the index in vertices2
-    of the image of vertices1[v] under a module isomorphism phi.  Built
-    on those lists, the two quivers are isomorphic by that witness, which
-    ``quiver_isomorphic(q1, q2, over=witness)`` proves; it may differ
-    from the search's.
+    otherwise (counts, witness).  counts are the two coloring counts;
+    witness[v] is the index in ``enumerate_colorings(d2, X)`` of the
+    image of the v-th coloring of ``enumerate_colorings(d1, X)`` under a
+    module isomorphism phi.  The two quivers are isomorphic by that
+    witness, which ``quiver_isomorphic(q1, q2, over=witness)`` proves;
+    it may differ from the search's.
 
     The colorings of a diagram over R_n are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
@@ -563,10 +555,12 @@ def end_modules(
     generator of d1 to d2's at the same place, of the same order, is a
     module isomorphism M1 -> M2.  ``module_colorings`` lists both modules
     by the same coefficients in the same order, so phi sends the i-th
-    coloring of d1's list to the i-th of d2's.  With order_k the argsort
-    of list k, vertices_k[r] = list_k[order_k[r]], and the argsort of
-    order_2, its inverse, ranks d2's list in vertices2: witness[v] =
-    rank2[order1[v]], gathered with no lookup by value.
+    coloring of d1's list to the i-th of d2's.  ``enumerate_colorings``
+    lists each module sorted: with order_k the argsort of list k, the
+    r-th coloring it lists for d_k is list_k[order_k[r]], and the
+    argsort of order_2, its inverse, ranks d2's list in that order:
+    witness[v] = rank2[order1[v]], gathered with no lookup by value.  When d1 is d2,
+    phi is the identity, and so is the witness, with nothing listed.
     phi is a quiver isomorphism, label for label: End(R_n) is the n^2
     maps x -> a*x + b, in closed form (``enumerate_homs``), and
     phi(a·c + b·1) = a·phi(c) + b·1, so phi sends the edge of each map f
@@ -580,27 +574,25 @@ def end_modules(
     counts = [n * math.prod(o) for o in orders]
     if orders[0] != orders[1]:
         return counts, None
-    vertices, ranks = [], []
-    for d, basis in zip((d1, d2), bases):
-        listed = module_colorings(n, d.n_arcs, basis)
-        ranks.append(sorted(range(counts[0]), key=listed.__getitem__))
-        vertices.append(list(map(Coloring, _gather(listed, ranks[-1]))))
+    if d1 is d2:
+        return counts, tuple(range(counts[0]))
+    ranks = [sorted(range(counts[0]), key=module_colorings(n, d.n_arcs, basis).__getitem__)
+             for d, basis in zip((d1, d2), bases)]
     inverse = sorted(range(counts[0]), key=ranks[1].__getitem__)
-    return counts, (*vertices, _gather(inverse, ranks[0]))
+    return counts, _gather(inverse, ranks[0])
 
 
 def _keeps_rows(q1: WeightedQuiver, q2: WeightedQuiver, w: tuple[int, ...]) -> bool:
     """Whether w is a bijection of the vertices that sends every edge of
-    q1 to the edge of q2 with the same map: w[targets1[f][v]] =
-    targets2[f][w[v]] for each map f and vertex v.  The rows are paired
-    by the maps' images, which must be distinct and the same in both
-    quivers, as for the n^2 maps of ``is_affine_end``."""
+    q1 to the edge of q2 with the same map: w[targets1[e][v]] =
+    targets2[e][w[v]] for each row e and vertex v.  Row e holds the
+    edges of the map endos[e], so the rows pair by position when the two
+    quivers list the same maps in the same order, as two quivers built
+    with one S do."""
     n = q1.n_vertices
-    rows1, rows2 = ({f.image: row for f, row in zip(q.endos, q.targets)} for q in (q1, q2))
-    if (q2.n_vertices != n or sorted(w) != list(range(n)) or rows1.keys() != rows2.keys()
-            or not len(rows1) == len(q1.targets) == len(q2.targets)):
+    if q2.n_vertices != n or sorted(w) != list(range(n)) or q1.endos != q2.endos:
         return False
-    return all(_gather(w, row) == _gather(rows2[image], w) for image, row in rows1.items())
+    return all(_gather(w, row1) == _gather(row2, w) for row1, row2 in zip(q1.targets, q2.targets))
 
 
 def _verify_witness(

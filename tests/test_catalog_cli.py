@@ -448,6 +448,28 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
         assert calls == want, (spec, extra)
 
 
+def test_cli_end_compare_lists_each_diagram_once(capsys, monkeypatch):
+    # With equal module types, each quiver lists its own colorings and
+    # end_modules lists none again for it: two strings, two listings in
+    # coloring_quiver.  A knot named twice is one diagram, whose witness
+    # is the identity with no module listed.
+    calls = []
+    for name in ("enumerate_colorings", "module_colorings"):
+        real = getattr(quiverknot.quiver, name)
+        monkeypatch.setattr(quiverknot.quiver, name, lambda *a, _real=real, _name=name:
+                            calls.append((_name, a[0])) or _real(*a))
+    blob = run_json(capsys, "compare", "4_1", "5_1", "--quandle", "dihedral:5",
+                    "--endos", "all")
+    assert blob["outputs"]["isomorphic"] is True
+    listed = [d for name, d in calls if name == "enumerate_colorings"]
+    assert len(listed) == 2 and listed[0] is not listed[1]
+    calls.clear()
+    blob = run_json(capsys, "compare", "8_10", "8_10", "--quandle", "dihedral:27",
+                    "--endos", "all")
+    assert blob["outputs"]["witness"] == list(range(729))
+    assert [name for name, _ in calls] == ["enumerate_colorings"]
+
+
 def test_cli_compare_of_unequal_module_types_builds_no_quiver(capsys, monkeypatch):
     # 8_10 and 8_18 both have 81 colorings over R_9, in modules of types
     # Z_9 + Z_9 and Z_9 + Z_3 + Z_3: the verdict needs no quiver, no
@@ -466,10 +488,10 @@ def test_cli_compare_of_unequal_module_types_builds_no_quiver(capsys, monkeypatc
 
 
 def test_cli_compare_matches_searched_quivers_on_equal_count_pairs(capsys, catalog):
-    # The CLI reads the verdict and the vertex lists off the coloring
-    # modules; its JSON must be the one built from quivers on the
-    # searched colorings (the module verdicts are checked against the
-    # isomorphism search in test_quiver.py).
+    # The CLI reads the verdict and the witness off the coloring modules;
+    # its JSON must be the one built from the module verdict on quivers
+    # made here (the module verdicts are checked against the isomorphism
+    # search in test_quiver.py).
     names = catalog.names()
     compared = Counter()
     for n in range(3, 16):
