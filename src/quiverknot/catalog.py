@@ -8,9 +8,9 @@ each is built and checked against its fingerprint once, the first time
 the process uses it; a user file's entries are built and checked at
 each load.  Dihedral coloring counts for any n follow from those
 divisors, so a corrupted PD code cannot silently feed the invariants.
-The check reads ``Diagram.coloring_reduction``, the one reduction that
-every later R_n count, R_n listing and End(R_n)-quiver compare of the
-diagram reuses.
+The check reads ``Diagram.coloring_reduction()``, the one reduction at
+t = -1 that every later R_n count, R_n listing and End(R_n)-quiver
+compare of the diagram reuses.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def _build_entry(entry: CatalogEntry) -> Diagram:
 
 
 def _check_fingerprint(entry: CatalogEntry, d: Diagram) -> None:
-    divisors = [dd for dd in d.coloring_reduction[0] if dd not in (0, 1)]
+    divisors = [dd for dd in d.coloring_reduction()[0] if dd not in (0, 1)]
     det = math.prod(divisors) if divisors else 1
     if det != entry.determinant:
         raise CatalogError(

@@ -19,10 +19,16 @@ is held.
 
 Every command checks its inputs in one order: knots, quandle,
 endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
-``--base`` only with ``--weighted``.  After those checks, an unweighted
-``compare`` over all of End(R_n) (``--endos all`` on ``dihedral:n``,
-whose n^2 maps x -> a*x + b are listed in closed form) takes its
-verdict from the coloring modules first (``end_modules``): unequal
+``--base`` only with ``--weighted``.  ``dihedral:n`` and
+``alexander:n:t`` are formula quandles, x*y = t*x + (1-t)*y on Z_n with
+R_n at t = -1.  Only the ``a,b`` lists, the cocycle and the
+``colorings --count`` shortcut read the name; every other path reads t,
+so there ``dihedral:n`` and ``alexander:n:n-1`` print the same bytes
+apart from the echoed quandle.  After those checks, an unweighted
+``compare`` over the n^2 maps x -> a*x + b of a formula quandle
+(``--endos all`` on ``dihedral:n``, listed in closed form, or on an
+``alexander:n:t`` whose End holds no other map) takes its verdict from
+the coloring modules first (``end_modules``): unequal
 module types print the counts and a null witness with no quiver built
 and no ``quiver_isomorphic`` call; equal types build both quivers and
 pass the witness ``end_modules`` returns, a tuple of vertex indices,

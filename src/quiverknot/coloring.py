@@ -1,18 +1,20 @@
 """Quandle colorings and shadow colorings of a diagram.
 
 An X-coloring labels every arc with a quandle element so that
-``c(under_in) * c(over) == c(under_out)`` holds at each crossing.  A
-shadow coloring additionally labels every region so that crossing an
-edge from its right side to its left side acts by the edge's arc label:
-``c(left) == c(right) * c(arc)``.
+``c(source) * c(over) == c(result)`` holds at each crossing, where
+``diagram.crossing_relation`` reads source and result by the crossing
+sign.  A shadow coloring additionally labels every region so that
+crossing an edge from its right side to its left side acts by the
+edge's arc label: ``c(left) == c(right) * c(arc)``.
 
-Over a dihedral quandle R_n the colorings are the solutions of the
-linearized crossing relations (x + z - 2y = 0 over Z_n), a Z_n-module.
-``Diagram.coloring_reduction`` reduces those relations once per
-diagram; counts are read off its elementary divisors, and the colorings
-are listed from the module basis read off its generators.  Over every
-other quandle enumeration is a depth-first search over arcs with unit
-propagation, branching in a fail-first order.
+Over a formula quandle, x*y = t*x + (1-t)*y on Z_n (R_n is t = -1),
+the colorings are the solutions of the linearized crossing relations
+over Z_n, a Z_n-module.  ``Diagram.coloring_reduction(t)`` reduces
+those relations once per diagram and t; counts are read off its
+elementary divisors, and the colorings are listed from the module basis
+read off its generators.  Only a ``table`` quandle is searched: a
+depth-first search over arcs with unit propagation, branching in a
+fail-first order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .diagram import Diagram, coloring_rows
+from .diagram import Diagram, coloring_rows, crossing_relation
 from .quandle import FiniteQuandle, InvalidParameterError, QuandleMap, _backtrack, check_order
 from .snf import kernel_basis, solution_count_mod
 
@@ -80,8 +82,9 @@ def is_valid_coloring(d: Diagram, X: FiniteQuandle, values) -> bool:
         return False
     if any(not 0 <= v < X.order for v in values):
         return False
-    for cr in d.crossings:
-        if X.op[values[cr.under_in_arc]][values[cr.over_arc]] != values[cr.under_out_arc]:
+    for k in range(d.n_crossings):
+        source, over, result = crossing_relation(d, k)
+        if X.op[values[source]][values[over]] != values[result]:
             return False
     return True
 
@@ -90,11 +93,12 @@ def _branch_order(rels, touching) -> list[int]:
     """A fail-first order of the arcs for the coloring search.
 
     Each step picks the arc whose assignment closes the most arcs under
-    the crossing rule, where the over arc and one under arc known force
-    the other under arc; ties go to the lowest index.  The pick is
-    followed by the arcs it closes, so the search branches exactly on the
-    picks (Haralick & Elliott, "Increasing tree search efficiency for
-    constraint satisfaction problems", 1980).
+    the crossing rule ``rels``, (source, over, result) per crossing,
+    where the over arc and one under arc known force the other under
+    arc; ties go to the lowest index.  The pick is followed by the arcs
+    it closes, so the search branches exactly on the picks (Haralick &
+    Elliott, "Increasing tree search efficiency for constraint
+    satisfaction problems", 1980).
 
     Closure sizes are cached on a max-heap.  A size depends only on the
     crossings its closure visited, so each crossing lists the arcs whose
@@ -157,33 +161,31 @@ def _branch_order(rels, touching) -> list[int]:
 def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
     """All X-colorings, sorted by value vector.
 
-    Over R_n (a ``dihedral`` X) the colorings are the module listed by
-    ``module_colorings`` from the basis ``kernel_basis`` reads off
-    ``d.coloring_reduction``, with no search; the docstring of
-    ``Diagram.coloring_reduction`` gives the argument.
+    Over a formula quandle (``X.formula_t`` is its t, -1 for R_n) the
+    colorings are the module listed by ``module_colorings`` from the
+    basis ``kernel_basis`` reads off ``d.coloring_reduction(t)``, with no
+    search; the docstring of ``Diagram.coloring_reduction`` gives the
+    argument.
 
-    Over any other X: ``_backtrack`` over the arcs relabelled by
+    Over a ``table`` quandle: ``_backtrack`` over the arcs relabelled by
     ``_branch_order``, so its cost depends little on how the PD code
-    numbers the arcs.  A crossing with its under-in and over arcs known
-    forces the under-out arc via ``op``, and with under-out and over
-    known forces under-in via ``inv_op``.  The trail is the queue: each
+    numbers the arcs.  Each crossing's ``crossing_relation`` (source,
+    over, result) holds c(source) * c(over) == c(result): with source
+    and over known it forces result via ``op``, and with result and over
+    known it forces source via ``inv_op``.  The trail is the queue: each
     newly assigned arc visits the crossings it touches.  When x -> x+1 is
     an automorphism of X, c -> (arc -> c(arc) + 1) maps colorings to
     colorings, so the search runs for one value of the first arc and
     ``_backtrack`` adds the translates.  The driver's output is
     lexicographic in the relabelled order only, so the colorings are
     mapped back.  Either way they are sorted.
-
-    Known limitation: the rule reads no crossing sign, which is right
-    only when * is an involution (dihedral quandles, Alexander with
-    t^2 = 1).  Otherwise counts can change under a Reidemeister II move:
-    over alexander:7:3, 3_1 has 49 colorings and 3_1_kinked 7.
     """
-    if X.is_dihedral:
+    t = X.formula_t
+    if t is not None:
         n = X.order
-        found = module_colorings(n, d.n_arcs, kernel_basis(*d.coloring_reduction, n))
+        found = module_colorings(n, d.n_arcs, kernel_basis(*d.coloring_reduction(t), n))
         return [Coloring(v) for v in sorted(found)]
-    rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
+    rels = [crossing_relation(d, k) for k in range(d.n_crossings)]
     touching: list[list[int]] = [[] for _ in range(d.n_arcs)]
     for c, rel in enumerate(rels):
         for arc in set(rel):
@@ -201,8 +203,8 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
             for i, j, k in new_touching[trail[done]]:
                 vj = values[j]
                 if vj < 0:
-                    # under_in and under_out alone force nothing through
-                    # the tables; checked once the over arc is set.
+                    # source and result alone force nothing through the
+                    # tables; checked once the over arc is set.
                     continue
                 if values[i] >= 0:
                     t, v = k, op[values[i]][vj]
@@ -224,7 +226,7 @@ def enumerate_colorings(d: Diagram, X: FiniteQuandle) -> list[Coloring]:
 
 def module_colorings(n: int, n_arcs: int,
                      basis: list[tuple[int, tuple[int, ...]]]) -> list[tuple[int, ...]]:
-    """The R_n-colorings b·1 + z_1·(0, y_1) + ... + z_k·(0, y_k) for b in
+    """The colorings b·1 + z_1·(0, y_1) + ... + z_k·(0, y_k) for b in
     Z_n and z_i in Z_{g_i}, given the basis (g_i, y_i) of M', y_i holding
     the values on arcs 1 onward; b varies fastest, then z_1, and so on.
 
@@ -247,9 +249,9 @@ def module_colorings(n: int, n_arcs: int,
 
 
 def coloring_matrix(d: Diagram) -> ColoringMatrix:
-    """The coloring rows with their elementary divisors: those of
-    ``d.coloring_reduction`` followed by zeros, up to min(crossings, arcs)."""
-    divisors = d.coloring_reduction[0]
+    """R_n's coloring rows with their elementary divisors: those of
+    ``d.coloring_reduction()`` followed by zeros, up to min(crossings, arcs)."""
+    divisors = d.coloring_reduction()[0]
     size = min(d.n_crossings, d.n_arcs)
     return ColoringMatrix(coloring_rows(d), d.n_arcs,
                           divisors + (0,) * (size - len(divisors)))
@@ -257,9 +259,9 @@ def coloring_matrix(d: Diagram) -> ColoringMatrix:
 
 def count_colorings_dihedral(d: Diagram, n: int) -> int:
     """|Col_{R_n}(D)| = n·|M'|, the constants times the colorings with
-    c(arc 0) = 0, counted from ``d.coloring_reduction``'s divisors."""
+    c(arc 0) = 0, counted from ``d.coloring_reduction()``'s divisors."""
     check_order(n)
-    return n * solution_count_mod(d.coloring_reduction[0], d.n_arcs - 1, n)
+    return n * solution_count_mod(d.coloring_reduction()[0], d.n_arcs - 1, n)
 
 
 def apply_endo(f: QuandleMap, c: Coloring) -> Coloring:

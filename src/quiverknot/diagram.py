@@ -15,6 +15,11 @@ that single convention the builder recovers:
   corner permutation of the rotation system,
 * which face lies to the left and to the right of every directed edge.
 
+Each crossing then gives one coloring relation, read by its sign
+(``crossing_relation``), and over a formula quandle x*y = t*x +
+(1-t)*y that relation is one linear row with coefficients 1, -t and
+t - 1 (``coloring_rows``), R_n's rows at t = -1.
+
 Terminology: an *edge* is a segment between two crossing passages (2c of
 them for a c-crossing knot); an *arc* is a maximal over-path, i.e. edges
 merged across over-passages (these are what quandle colorings label).
@@ -96,11 +101,11 @@ class Diagram:
     Three derived tables are computed on first read and cached on the
     object: ``shadow_plan`` (the region propagation order of a shadow
     extension), ``crossing_terms`` (what each crossing's cocycle weight
-    reads) and ``coloring_reduction`` (the one reduction of the
-    coloring rows, which the fingerprint, every R_n count, every R_n
-    listing and every End(R_n)-quiver compare read).  They live and die
-    with the diagram, and ``with_r_infinity`` returns a fresh object that
-    computes its own.
+    reads) and ``coloring_reduction(t)`` (the one reduction of the
+    coloring rows at t, which the fingerprint, every count and listing
+    over a formula quandle with that t, and every compare over its
+    affine maps read).  They live and die with the diagram, and
+    ``with_r_infinity`` returns a fresh object that computes its own.
     Two concurrent first reads at worst compute the same value twice, so
     a diagram stays safe to share.
     """
@@ -180,25 +185,35 @@ class Diagram:
         )
 
     @functools.cached_property
-    def coloring_reduction(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """``(divisors, generators)``: ``smith_generators`` of the
-        ``coloring_rows`` without arc 0's column, built sparse.
+    def _reductions(self) -> dict:
+        return {}
 
-        Over Z_n the R_n-colorings are the module M of solutions of the
-        coloring rows.  Every row sums to 0, so M holds the constants
-        Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M', where M'
-        holds the colorings with c(arc 0) = 0, the solutions of the rows
-        without arc 0's column.  So |M| = n·|M'|, and
+    def coloring_reduction(self, t: int = -1) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        """``(divisors, generators)``: ``smith_generators`` of
+        ``coloring_rows(self, t)`` without arc 0's column, built sparse,
+        once per diagram and integer t.
+
+        Over Z_n the colorings by the formula quandle x*y = t*x +
+        (1 - t)*y are the module M of solutions of those rows taken mod
+        n (Inoue, JKTR 2001).  Every row sums to 0, so M holds the
+        constants Z_n·1, and c -> c(arc 0) splits them off: M = <1> + M',
+        where M' holds the colorings with c(arc 0) = 0, the solutions of
+        the rows without arc 0's column.  So |M| = n·|M'|, and
         ``snf.kernel_basis`` reads a basis of M' off the generators for
         any n: generator k holds the values on arcs 1 onward.  Column 0
         is minus the sum of the others, so the full matrix's elementary
         divisors are these ``divisors`` followed by zeros, up to
-        min(crossings, arcs).  The reduction reads no n.
+        min(crossings, arcs).  The reduction reads no n, so every t that
+        is -1 mod n takes t = -1 (``FiniteQuandle.formula_t``): one
+        reduction serves R_n for every n.
         """
-        rows = [{arc - 1: v for arc, v in row.items() if arc}
-                for row in _coloring_entries(self)]
-        divisors, generators = smith_generators(rows, self.n_arcs - 1)
-        return tuple(divisors), tuple(generators)
+        found = self._reductions.get(t)
+        if found is None:
+            rows = [{arc - 1: v for arc, v in row.items() if arc}
+                    for row in _coloring_entries(self, t)]
+            divisors, generators = smith_generators(rows, self.n_arcs - 1)
+            found = self._reductions[t] = (tuple(divisors), tuple(generators))
+        return found
 
     def with_r_infinity(self, region: int) -> "Diagram":
         """The same diagram with a different face designated unbounded.
@@ -512,31 +527,42 @@ def emit_pd(d: Diagram) -> str:
     return " ".join("X({},{},{},{})".format(*cr.pd) for cr in d.crossings)
 
 
-def _coloring_entries(d: Diagram) -> list[dict[int, int]]:
-    """The nonzero entries of ``coloring_rows``, as {arc: coefficient}."""
+def crossing_relation(d: Diagram, k: int) -> tuple[int, int, int]:
+    """Arc ids (source, over, result) at crossing k: every coloring
+    satisfies c(source) * c(over) == c(result).  The rule is read by the
+    crossing sign: (under_in, over, under_out) at a positive crossing and
+    (under_out, over, under_in) at a negative one (Carter, Jelsovsky,
+    Kamada, Langford & Saito, Trans. AMS 2003).  The two readings differ
+    only when * is not an involution.  This is the one place the rule
+    is spelled."""
+    cr = d.crossings[k]
+    if cr.sign > 0:
+        return (cr.under_in_arc, cr.over_arc, cr.under_out_arc)
+    return (cr.under_out_arc, cr.over_arc, cr.under_in_arc)
+
+
+def _coloring_entries(d: Diagram, t: int) -> list[dict[int, int]]:
+    """The nonzero entries of ``coloring_rows(d, t)``, as {arc: coefficient}."""
     rows = []
-    for cr in d.crossings:
-        row = {cr.under_in_arc: 1}
-        row[cr.over_arc] = row.get(cr.over_arc, 0) - 2
-        row[cr.under_out_arc] = row.get(cr.under_out_arc, 0) + 1
+    for k in range(d.n_crossings):
+        source, over, result = crossing_relation(d, k)
+        row = {source: -t}
+        row[over] = row.get(over, 0) + t - 1
+        row[result] = row.get(result, 0) + 1
         rows.append({arc: v for arc, v in row.items() if v})
     return rows
 
 
-def coloring_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """One row per crossing, under_in - 2*over + under_out = 0 over the
-    arcs: the R_n-coloring condition; coincident arcs sum."""
+def coloring_rows(d: Diagram, t: int = -1) -> tuple[tuple[int, ...], ...]:
+    """One row per crossing over the arcs, result - t*source + (t - 1)*over
+    = 0 for its ``crossing_relation``: the rule of the formula quandle
+    x*y = t*x + (1 - t)*y made linear, R_n's under_in - 2*over +
+    under_out = 0 at t = -1.  Coincident arcs sum, and every row sums
+    to 0."""
     rows = []
-    for entries in _coloring_entries(d):
+    for entries in _coloring_entries(d, t):
         row = [0] * d.n_arcs
         for arc, v in entries.items():
             row[arc] = v
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def crossing_relation(d: Diagram, k: int) -> tuple[int, int, int]:
-    """Arc ids (under_in, over, under_out) at crossing k: every coloring
-    satisfies c(under_in) * c(over) == c(under_out)."""
-    cr = d.crossings[k]
-    return (cr.under_in_arc, cr.over_arc, cr.under_out_arc)

@@ -8,7 +8,10 @@ Elements are always the integers ``0..n-1`` and the operation is stored
 as a full table, so every axiom and every claimed homomorphism can be
 checked exhaustively.  The dihedral quandle of order n is Z_n with
 ``x*y = 2y - x``; the Alexander quandle with unit t is Z_n with
-``x*y = t*x + (1-t)*y``.
+``x*y = t*x + (1-t)*y``.  Both are formula quandles: R_n is the
+Alexander formula at t = -1, and every path that knows the formula
+reads its t (``FiniteQuandle.formula_t``), not the name it was built
+under.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class InvalidParameterError(ValueError):
@@ -61,6 +64,18 @@ class FiniteQuandle:
     @property
     def is_dihedral(self) -> bool:
         return self.kind[0] == "dihedral"
+
+    @property
+    def formula_t(self) -> Optional[int]:
+        """The t of a formula quandle, x*y = t*x + (1-t)*y on Z_n, as the
+        integer its coloring rows are built with: -1 for every t that is
+        -1 mod n, R_n among them, else t in 0..n-1; None for a table."""
+        if self.kind[0] == "dihedral":
+            return -1
+        if self.kind[0] == "alexander":
+            t = self.kind[2]
+            return -1 if (t + 1) % self.order == 0 else t
+        return None
 
     @functools.cached_property
     def translation_is_auto(self) -> bool:
@@ -309,7 +324,9 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     Alexander quandles and by ``from_table``'s check for tables.
 
     End(R_n) needs no search: it is the n^2 maps f(x) = a*x + b, for
-    every n.  Each is an endomorphism (``affine_endos``).  Conversely
+    every n, and so is End of every formula quandle whose t is -1 mod n,
+    which has R_n's table (``FiniteQuandle.formula_t``).  Each map is an
+    endomorphism (``is_affine_end``).  Conversely
     (k-1)*k = k+1, so R_n is generated by 0 and 1, and an endomorphism f
     has f(k+1) = 2f(k) - f(k-1): f(0) = b and f(1) = a + b force
     f(k) = a*k + b by induction.  So f is fixed by (f(0), f(1)), the
@@ -318,7 +335,7 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     (a, b) is gathered in C: the values b, b+1, ... at the positions a*x.
     """
     n, m = X.order, Y.order
-    if X.is_dihedral and X.kind == Y.kind:
+    if n == m and X.formula_t == -1 == Y.formula_t:
         ring = range(n)
         shifts = [tuple(ring[b:]) + tuple(ring[:b]) for b in ring]  # y -> y + b
         steps = [itemgetter(*[a * x % n for x in ring]) for a in ring]  # x -> a*x
@@ -371,16 +388,24 @@ def affine_endos(X: FiniteQuandle, pairs: Iterable[tuple[int, int]]) -> Homs:
 
 
 def is_affine_end(X: FiniteQuandle, maps: Sequence[QuandleMap]) -> bool:
-    """Whether X is a dihedral quandle R_n and the endomorphisms ``maps``
-    are all of End(R_n), the n^2 maps x -> a*x + b, once each.
+    """Whether X is a formula quandle, x*y = t*x + (1-t)*y on Z_n, and
+    ``maps`` are the n^2 maps x -> a*x + b, once each.
 
-    ``maps`` must be endomorphisms of X, as a ``Homs`` and a quiver's
-    maps are.  An endomorphism of R_n is fixed by (f(0), f(1))
-    (``enumerate_homs``), so n^2 maps with n^2 distinct such pairs are
-    all of End(R_n): O(n^2) steps, with no image rebuilt.
+    Each such map is an endomorphism: a(t*x + (1-t)*y) + b =
+    t(a*x + b) + (1-t)(a*y + b).  ``maps`` must be endomorphisms of X,
+    as a ``Homs`` and a quiver's maps are.  When t is -1 mod n, every
+    endomorphism is affine and fixed by (f(0), f(1)) (``enumerate_homs``),
+    so n^2 maps with n^2 distinct such pairs are the affine maps: O(n^2)
+    steps, with no image rebuilt.  For any other t, End(X) may hold more
+    (1,024 maps for alexander:8:5), so each image is also checked to be
+    x -> f(0) + (f(1) - f(0))*x: O(n^3).
     """
-    n = X.order
-    return X.is_dihedral and len(maps) == n * n == len({f.image[:2] for f in maps})
+    n, t = X.order, X.formula_t
+    if t is None or not len(maps) == n * n == len({f.image[:2] for f in maps}):
+        return False
+    return t == -1 or all(
+        f.image == tuple((f.image[0] + (f.image[1] - f.image[0]) * x) % n for x in range(n))
+        for f in maps)
 
 
 def identity_map(X: FiniteQuandle) -> QuandleMap:

@@ -30,8 +30,9 @@ edge, with no search.  Otherwise an iterative backtracking search on
 an explicit stack follows.  It keeps the candidates of each unmapped
 vertex as an int bitmask over the other quiver's vertices and cuts
 every mask with one ``&`` as each vertex is mapped, undoing the cuts
-from a trail on backtrack.  Quivers of two diagrams over R_n with all
-of End(R_n) need neither, nor need they be built to be told apart:
+from a trail on backtrack.  Quivers of two diagrams over a formula
+quandle x*y = t*x + (1-t)*y on Z_n (R_n is t = -1) with its n^2 maps
+x -> a*x + b need neither, nor need they be built to be told apart:
 ``end_modules`` reads the verdict off the diagrams' coloring modules
 before any quiver exists and, when the module types agree, a witness
 as vertex indices into the colorings ``enumerate_colorings`` lists.
@@ -474,11 +475,11 @@ def quiver_isomorphic(
     before being returned.
 
     ``over`` is the witness of ``end_modules(X, S, d1, d2)`` when S is
-    all of End(R_n) and q1, q2 are the coloring quivers of d1, d2 with
-    S.  An unweighted compare given it returns it once ``_keeps_rows``
-    has proved it, row by row with the labels, with no refinement or
-    search; a witness that fails is an error, not a verdict.  Every
-    other compare is searched.
+    the n^2 maps x -> a*x + b of a formula quandle X and q1, q2 are the
+    coloring quivers of d1, d2 with S.  An unweighted compare given it
+    returns it once ``_keeps_rows`` has proved it, row by row with the
+    labels, with no refinement or search; a witness that fails is an
+    error, not a verdict.  Every other compare is searched.
     """
     if q1.n_vertices != q2.n_vertices or q1.n_edges != q2.n_edges:
         return (False, None)
@@ -523,8 +524,10 @@ def end_modules(
 ) -> Optional[tuple[list[int], Optional[tuple[int, ...]]]]:
     """The verdict of ``quiver_isomorphic`` on the coloring quivers of d1
     and d2 over X with the maps S, read off the diagrams' coloring
-    modules before either quiver is built.  None unless X is R_n and S
-    is all of End(R_n), the n^2 maps x -> a*x + b (``is_affine_end``).
+    modules before either quiver is built.  None unless X is a formula
+    quandle, x*y = t*x + (1-t)*y on Z_n, and S is its n^2 maps
+    x -> a*x + b (``is_affine_end``), which are endomorphisms of X for
+    every t, and all of End(X) when t is -1 mod n, as for R_n.
 
     Returns (counts, None) when the quivers are not isomorphic, and
     otherwise (counts, witness).  counts are the two coloring counts;
@@ -534,10 +537,10 @@ def end_modules(
     witness, which ``quiver_isomorphic(q1, q2, over=witness)`` proves;
     it may differ from the search's.
 
-    The colorings of a diagram over R_n are the module M = <1> + M',
+    The colorings of a diagram over X are the module M = <1> + M',
     where M' holds the colorings with c(arc 0) = 0; the docstring of
     ``Diagram.coloring_reduction`` gives the argument.  A basis of M' is
-    read off the generators of each diagram's cached reduction by
+    read off the generators of each diagram's cached reduction at t by
     ``kernel_basis``, with no elimination, and |M| = n·(the product of
     the basis orders).
 
@@ -561,15 +564,14 @@ def end_modules(
     argsort of order_2, its inverse, ranks d2's list in that order:
     witness[v] = rank2[order1[v]], gathered with no lookup by value.  When d1 is d2,
     phi is the identity, and so is the witness, with nothing listed.
-    phi is a quiver isomorphism, label for label: End(R_n) is the n^2
-    maps x -> a*x + b, in closed form (``enumerate_homs``), and
-    phi(a·c + b·1) = a·phi(c) + b·1, so phi sends the edge of each map f
-    out of c to the edge of f out of phi(c).
+    phi is a quiver isomorphism, label for label: S is the n^2 maps
+    x -> a*x + b, and phi(a·c + b·1) = a·phi(c) + b·1, so phi sends the
+    edge of each map f out of c to the edge of f out of phi(c).
     """
     if not is_affine_end(X, S):
         return None
     n = X.order
-    bases = [kernel_basis(*d.coloring_reduction, n) for d in (d1, d2)]
+    bases = [kernel_basis(*d.coloring_reduction(X.formula_t), n) for d in (d1, d2)]
     orders = [[g for g, _ in basis] for basis in bases]
     counts = [n * math.prod(o) for o in orders]
     if orders[0] != orders[1]:

@@ -1,13 +1,14 @@
 """Smith normal form of integer matrices, exact arithmetic only.
 
-Entries of coloring matrices start tiny (at most 2 in absolute value)
-but intermediate values may grow; Python integers make every step exact.
+Entries of coloring matrices start small (1, -t and t - 1 for a
+formula quandle's t, so at most 2 in absolute value for R_n) but
+intermediate values may grow; Python integers make every step exact.
 
 In the package one caller eliminates: ``Diagram.coloring_reduction``
-runs ``smith_generators`` once per diagram.  It removes the unit pivots
-of a sparse matrix one by one and leaves only a small core to the dense
-``_eliminate``, so a coloring matrix of a thousand crossings reduces in
-milliseconds.  Counts are read off its divisors with
+runs ``smith_generators`` once per diagram and t.  It removes the unit
+pivots of a sparse matrix one by one and leaves only a small core to
+the dense ``_eliminate``, so a coloring matrix of a thousand crossings
+reduces in milliseconds.  Counts are read off its divisors with
 ``solution_count_mod``, and module bases off its generators with
 ``kernel_basis``.  ``smith_normal_form``, ``smith_transform`` and
 ``kernel_basis_mod`` eliminate any matrix they are given densely; the

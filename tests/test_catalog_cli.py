@@ -410,8 +410,32 @@ def test_cli_compare(capsys):
     assert blob["outputs"]["multisets"]["equal"] is False
 
 
+def test_cli_r_n_is_alexander_n_minus_1(capsys, catalog):
+    # R_n is the Alexander quandle at t = -1, and every path but the a,b
+    # lists, the cocycle and the colorings --count shortcut reads t, not
+    # the name: the listing, the quiver as JSON and DOT, and compare with
+    # --endos all and auto, witnesses included, print the same bytes over
+    # dihedral:n and alexander:n:n-1, apart from the echoed quandle and
+    # the timing.
+    names = catalog.names()
+    pairs = [(a, a) for a in names] + list(zip(names, names[1:]))
+    for n in (3, 5, 9, 27):
+        specs = (f"dihedral:{n}", f"alexander:{n}:{n - 1}")
+        runs = [["colorings", "--knot", k, "--list"] for k in names]
+        runs += [["quiver", "--knot", k, *out] for k in names for out in ([], ["--out", "dot"])]
+        runs += [["compare", a, b, "--endos", endos] for a, b in pairs
+                 for endos in ("all", "auto")]
+        for argv in runs:
+            outs = []
+            for spec in specs:
+                code, out, err = run_cli(capsys, *argv, "--quandle", spec)
+                assert code == 0, err
+                outs.append(TIMING.sub("", out).replace(f'"quandle": "{spec}"', '"quandle": X'))
+            assert outs[0] == outs[1], (n, argv)
+
+
 def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeypatch, tmp_path):
-    # An unweighted compare over the n^2 maps x -> a*x + b of a dihedral
+    # An unweighted compare over the n^2 maps x -> a*x + b of a formula
     # quandle asks end_modules first; on a self-compare the module types
     # agree, so compare builds the quivers and its one quiver_isomorphic
     # call, given the module witness as over, proves it with one
@@ -438,7 +462,10 @@ def test_cli_compare_decides_only_all_of_end_r_n_from_the_module(capsys, monkeyp
         ("dihedral:5", ["--endos", "1,0;2,1"], searched),
         ("dihedral:5", ["--endos", every_pair + ";1,0"], searched),
         ("dihedral:5", ["--endos", "all", "--weighted"], searched[1:]),
-        ("alexander:5:2", ["--endos", "all"], searched),
+        # End(alexander:5:2) is its 25 affine maps; End(alexander:8:5)
+        # has 1,024 maps, so it is searched.
+        ("alexander:5:2", ["--endos", "all"], module),
+        ("alexander:8:5", ["--endos", "all"], searched),
         (f"table:{path}", ["--endos", "all"], searched),
     ]
     for spec, extra, want in cases:

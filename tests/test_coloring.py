@@ -40,7 +40,7 @@ from quiverknot.snf import (
 )
 from pd_generators import meridian_chain_pd, relabel_pd, torus_pd, trefoil_sum_pd
 from test_diagram import KINKS
-from test_quandle import Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
+from test_quandle import ALEXANDER_UNITS, Q3_ROWS, spy_backtrack, swapped_r5, tetrahedral
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -51,8 +51,12 @@ def catalog():
 
 
 def brute_force_colorings(d, X):
+    # The rule read by sign here, not through crossing_relation:
+    # under_in * over == under_out at a positive crossing, and
+    # under_out * over == under_in at a negative one.
     out = []
-    rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) for cr in d.crossings]
+    rels = [(cr.under_in_arc, cr.over_arc, cr.under_out_arc) if cr.sign > 0
+            else (cr.under_out_arc, cr.over_arc, cr.under_in_arc) for cr in d.crossings]
     for values in product(range(X.order), repeat=d.n_arcs):
         if all(X.op[values[i]][values[j]] == values[k] for i, j, k in rels):
             out.append(values)
@@ -92,6 +96,8 @@ def test_enumeration_vs_brute_force_more(catalog):
         tetrahedral(),
         from_table([[x] * 3 for x in range(3)]),
         make_alexander(5, 2),
+        make_alexander(5, 3),
+        make_alexander(7, 3),
     ]
     diagrams = [catalog.diagram(name) for name in catalog.names()]
     diagrams.append(build_diagram(parse_pd("X(1,2,2,1)")))
@@ -129,15 +135,13 @@ def test_torus_knot_elementary_divisors():
         assert m.elementary_divisors == (1,) * (k - 2) + (k, 0), k
 
 
-@pytest.mark.xfail(strict=True, reason="the crossing rule reads no crossing sign, which "
-                   "is right only when * is an involution")
 def test_alexander_counts_survive_a_reidemeister_2_finger(catalog):
     # 3_1_kinked is 3_1 with an R2 finger.  Over alexander:7:3 (3^2 != 1)
-    # 3_1 has 49 colorings and 3_1_kinked 7; reading the rule backwards at
-    # negative crossings gives 49 for both.
+    # a rule that read no sign gave 3_1 49 colorings and 3_1_kinked 7;
+    # reading it backwards at negative crossings gives 49 for both.
     X = make_alexander(7, 3)
     counts = [len(enumerate_colorings(catalog.diagram(k), X)) for k in ("3_1", "3_1_kinked")]
-    assert counts[0] == counts[1], counts
+    assert counts == [49, 49], counts
 
 
 def test_large_torus_knots_enumerate():
@@ -173,11 +177,11 @@ def test_enumeration_independent_of_arc_labelling(catalog):
 def test_orbit_search_matches_full_search(catalog, monkeypatch):
     # Same colorings in the same order, over quandles whose translation
     # x -> x+1 is an automorphism, on catalog, relabelled and T(2,k) diagrams.
-    # Colorings over a dihedral-tagged R_n are read off the coloring module,
-    # so untagged table copies of R_n take the search.
+    # Colorings over a formula quandle are read off the coloring module,
+    # so only untagged table copies take the search.
     rng = random.Random(13)
     quandles = [from_table(make_dihedral(n).op) for n in range(2, 14)]
-    quandles.append(make_alexander(27, 2))
+    quandles.append(from_table(make_alexander(27, 2).op))
     diagrams = [catalog.diagram(name) for name in catalog.names()]
     for name in catalog.names():
         if catalog.diagram(name).n_crossings:
@@ -478,7 +482,7 @@ def test_snf_count_equals_enumeration(catalog):
     diagrams = [catalog.diagram(name) for name in catalog.names()]
     diagrams += [build_diagram(parse_pd(text)) for text in texts]
     for d in diagrams:
-        divisors = d.coloring_reduction[0]
+        divisors = d.coloring_reduction()[0]
         full = smith_normal_form(coloring_rows(d), d.n_arcs)
         assert list(divisors) + [0] * (len(full) - len(divisors)) == full
         assert coloring_matrix(d).elementary_divisors == tuple(full)
@@ -510,7 +514,7 @@ def test_sparse_reduction_matches_the_dense_oracle(catalog):
     # Z_n are the dense transform's, each integer generator solves every
     # row modulo its divisor, and each basis element every row mod n.
     for d in oracle_diagrams(catalog):
-        divisors, generators = d.coloring_reduction
+        divisors, generators = d.coloring_reduction()
         rows = [row[1:] for row in coloring_rows(d)]
         dense = smith_normal_form(rows, d.n_arcs - 1)
         assert list(divisors) == dense, d.pd
@@ -540,6 +544,22 @@ def test_listed_colorings_match_the_search(catalog, monkeypatch):
             assert flags == [True] * searched
             assert listed == enumerate_colorings(d, from_table(X.op)), (d.pd, n)
             searched += 1
+
+
+def test_alexander_listings_match_the_search_and_the_dense_oracle(catalog):
+    # Over alexander:n:t the colorings are listed from the reduction at
+    # t: its divisors must be the dense Smith form of coloring_rows(d, t)
+    # without arc 0's column, and its listing the search's over the
+    # untagged table.
+    quandles = [make_alexander(n, t) for n, t in ALEXANDER_UNITS]
+    tables = [from_table(X.op) for X in quandles]
+    for d in oracle_diagrams(catalog):
+        for t in sorted({X.formula_t for X in quandles}):
+            rows = [row[1:] for row in coloring_rows(d, t)]
+            assert list(d.coloring_reduction(t)[0]) == smith_normal_form(
+                rows, d.n_arcs - 1), (d.pd, t)
+        for X, table in zip(quandles, tables):
+            assert enumerate_colorings(d, X) == enumerate_colorings(d, table), (d.pd, X)
 
 
 def test_crt_factorization(catalog):
@@ -698,12 +718,27 @@ def assert_extensions_match_reference(d, quandles):
                         == shadow_outcome(reference_extend_shadow, d, X, c, base))
 
 
-# The crossing rule reads no crossing sign, so over alexander:5:2, where
-# * is not an involution, the nontrivial colorings of 4_1, 8_10 and 8_18
-# have no shadow extension, and both versions must raise the same error.
-# That quandle also tells the forward steps (through op) from the
-# backward ones (through inv_op), which no dihedral quandle can.
+# Over alexander:5:2 * is not an involution, so that quandle tells the
+# forward steps (through op) from the backward ones (through inv_op),
+# which no dihedral quandle can.  Read by the crossing sign, every
+# coloring over it extends (test_shadows_over_non_involutory_alexander_quandles).
 SHADOW_QUANDLES = [make_dihedral(3), make_dihedral(5), make_dihedral(7), make_alexander(5, 2)]
+
+
+def test_shadows_over_non_involutory_alexander_quandles(catalog):
+    # With the crossing rule read by sign, every coloring extends to a
+    # shadow coloring at every base, on every unbounded region.  A rule
+    # that read no sign left 100 of the 125 (coloring, base) pairs of 4_1
+    # over alexander:5:2 with no extension.
+    for X in (make_alexander(5, 2), make_alexander(5, 3), make_alexander(7, 3)):
+        assert any(X.op[X.op[x][y]][y] != x for x in range(X.order) for y in range(X.order))
+        for name in catalog.names():
+            d = catalog.diagram(name)
+            for region in range(d.n_regions):
+                moved = d.with_r_infinity(region)
+                for c in enumerate_colorings(d, X):
+                    for base in range(X.order):
+                        extend_shadow(moved, X, c, base)
 
 
 def test_shadow_plan_matches_reference_on_every_unbounded_region(catalog):

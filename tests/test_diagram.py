@@ -73,10 +73,14 @@ def test_trefoil_structure():
 
 
 def test_trefoil_crossing_relation():
+    # Crossing 0, X(1,4,2,5), is negative, so the relation reads the
+    # under strand backwards: source is the under-out arc (edge 2) and
+    # result the under-in arc (edge 1).
     d = build_diagram(parse_pd(TREFOIL))
-    under_in, over, under_out = crossing_relation(d, 0)
-    assert 1 in d.arcs[under_in]
-    assert 2 in d.arcs[under_out]
+    assert d.crossings[0].sign == -1
+    source, over, result = crossing_relation(d, 0)
+    assert 2 in d.arcs[source]
+    assert 1 in d.arcs[result]
     assert d.arcs[over] == (4, 5)
 
 

@@ -842,6 +842,33 @@ def test_module_verdicts_match_the_search_on_links_and_relabellings(catalog):
     assert verdicts[True, True] and verdicts[False, True]
 
 
+def test_module_verdicts_match_the_search_over_alexander_quandles(catalog):
+    # Every affine map is an endomorphism of an Alexander quandle, and
+    # End of each of these three holds no other map, so compare reads
+    # their verdicts off the modules at t = 2.  Each must be the
+    # search's, on every equal-count catalog pair.
+    names = catalog.names()
+    diagrams = [catalog.diagram(name) for name in names]
+    verdicts = Counter()
+    for n in (5, 9, 27):
+        X = make_alexander(n, 2)
+        end = enumerate_homs(X, X)
+        assert is_affine_end(X, end)
+        quivers = [coloring_quiver(d, X, end) for d in diagrams]
+        for i, (da, qa) in enumerate(zip(diagrams, quivers)):
+            for db, qb in zip(diagrams[i:], quivers[i:]):
+                if qa.n_vertices != qb.n_vertices:
+                    continue
+                iso, witness = module_verdict(X, end, da, db, qa, qb)
+                assert iso == quiver_isomorphic(qa, qb)[0], (n, qa.n_vertices)
+                if iso:
+                    assert _verify_witness(qa, qb, witness, False)
+                if da is db:
+                    assert witness == tuple(range(qa.n_vertices))
+                verdicts[iso] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_module_colorings_are_the_enumerated_colorings(catalog):
     # The counts end_modules reads off the coloring modules must be the
     # numbers of colorings enumerate_colorings lists, a self-compare's
@@ -864,11 +891,15 @@ def test_module_colorings_are_the_enumerated_colorings(catalog):
             counts, found = end_modules(X, end, other, d)
             assert counts == [len(enumerate_colorings(other, X)), len(colorings)]
             assert found is None or sorted(found) == list(range(len(colorings)))
-    # Only all of End(R_n) is read off the modules.
+    # Only the n^2 affine maps of a formula quandle are read off the
+    # modules: alexander:5:4 is R_5, and End(alexander:8:5) has 1,024 maps.
     R5 = make_dihedral(5)
     d = catalog.diagram("4_1")
     assert end_modules(R5, enumerate_autos(R5), d, d) is None
     A = make_alexander(5, 4)
+    assert end_modules(A, enumerate_homs(A, A), d, d) == end_modules(
+        R5, enumerate_homs(R5, R5), d, d)
+    A = make_alexander(8, 5)
     assert end_modules(A, enumerate_homs(A, A), d, d) is None
 
 
@@ -915,10 +946,27 @@ def test_end_of_a_dihedral_quandle_is_its_affine_maps():
     # n^2 maps, but not n^2 distinct ones
     assert not is_affine_end(R5, parse_endo_spec(";".join(["1,0"] * 25), R5))
     assert not is_affine_end(R5, parse_endo_spec(";".join(["1,0"] * 24 + ["2,0"]), R5))
-    # the same maps over a quandle that is not dihedral by kind
+    # the same maps over a table, which has no formula
     assert not is_affine_end(from_table(R5.op), enumerate_homs(R5, R5))
+    # Every affine map is an endomorphism of an Alexander quandle, and
+    # End(alexander:5:2) holds no other; End(alexander:8:5) has 1,024 maps.
     A = make_alexander(5, 2)
-    assert not is_affine_end(A, enumerate_homs(A, A))
+    assert is_affine_end(A, enumerate_homs(A, A))
+    A = make_alexander(8, 5)
+    end = enumerate_homs(A, A)
+    assert len(end) == 1024 and not is_affine_end(A, end)
+    # One map per pair (f(0), f(1)), so 64 distinct pairs, but not all
+    # of them affine: each image must be checked.
+    by_pair = {}
+    for f in end:
+        by_pair.setdefault(f.image[:2], []).append(f)
+    picked = [maps[-1] for maps in by_pair.values()]
+    assert len(picked) == 64
+    assert not is_affine_end(A, picked)
+    affine = [f for f in end
+              if f.image == tuple((f.image[0] + (f.image[1] - f.image[0]) * x) % 8
+                                  for x in range(8))]
+    assert len(affine) == 64 and is_affine_end(A, affine)
 
 
 def brute_force_isomorphic(q1, q2, respect_weights):
