@@ -3,8 +3,8 @@
 Subcommands: ``colorings``, ``quiver``, ``shadow``, ``compare``.  Knots
 are catalog names or literal PD text; quandles use the grammar
 ``dihedral:n`` | ``alexander:n:t`` | ``table:PATH``; endomorphism sets
-are ``all``, ``auto`` or semicolon-separated ``a,b`` pairs (dihedral
-only) meaning f(x) = a*x + b.
+are ``all``, ``auto`` or semicolon-separated ``a,b`` pairs meaning
+f(x) = a*x + b (formula quandles only).
 
 Results go to stdout as a single JSON object (``--format text`` for a
 human summary, ``--dot FILE`` to write DOT output to a file).  Exit
@@ -21,10 +21,11 @@ Every command checks its inputs in one order: knots, quandle,
 endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
 ``--base`` only with ``--weighted``.  ``dihedral:n`` and
 ``alexander:n:t`` are formula quandles, x*y = t*x + (1-t)*y on Z_n with
-R_n at t = -1.  Only the ``a,b`` lists, the cocycle and the
-``colorings --count`` shortcut read the name; every other path reads t,
-so there ``dihedral:n`` and ``alexander:n:n-1`` print the same bytes
-apart from the echoed quandle.  After those checks, an unweighted
+R_n at t = -1, and no path reads the name, only (n, t): ``dihedral:n``
+and ``alexander:n:n-1`` print the same bytes apart from the echoed
+quandle.  ``colorings --count`` over a formula quandle is read off the
+divisors of the diagram's coloring reduction at t (``"snf"``), and only
+a ``table:`` quandle is enumerated.  After those checks, an unweighted
 ``compare`` over the n^2 maps x -> a*x + b of a formula quandle
 (``--endos all`` on ``dihedral:n``, listed in closed form, or on an
 ``alexander:n:t`` whose End holds no other map) takes its verdict from
@@ -70,7 +71,6 @@ from .quandle import (
     Homs,
     InvalidParameterError,
     affine_endos,
-    check_order,
     enumerate_autos,
     enumerate_homs,
     make_alexander,
@@ -100,24 +100,7 @@ class QuandleDataError(ValueError):
     """Table file content failed validation (exit code 3)."""
 
 
-def _dihedral_order(spec: str) -> Optional[int]:
-    """The checked n of a ``dihedral:n`` spec, or None for any other spec;
-    the dihedral ``--count`` path needs n only, not R_n's table."""
-    parts = spec.split(":")
-    if parts[0] != "dihedral" or len(parts) != 2:
-        return None
-    try:
-        n = int(parts[1])
-        check_order(n)
-    except ValueError as exc:
-        raise UsageError(f"bad quandle spec {spec!r}: {exc}") from None
-    return n
-
-
 def parse_quandle_spec(spec: str) -> FiniteQuandle:
-    n = _dihedral_order(spec)
-    if n is not None:
-        return make_dihedral(n)
     kind, colon, path = spec.partition(":")
     if kind == "table" and colon:
         try:
@@ -136,6 +119,8 @@ def parse_quandle_spec(spec: str) -> FiniteQuandle:
             raise QuandleDataError(f"bad quandle table {path!r}: {exc}") from None
     parts = spec.split(":")
     try:
+        if parts[0] == "dihedral" and len(parts) == 2:
+            return make_dihedral(int(parts[1]))
         if parts[0] == "alexander" and len(parts) == 3:
             return make_alexander(int(parts[1]), int(parts[2]))
     except ValueError as exc:
@@ -200,13 +185,13 @@ def _emit(result: dict, fmt: str, text_lines: list[str], started: float,
 def cmd_colorings(args, catalog: Catalog, started: float) -> int:
     d = resolve_knot(args.knot, catalog)
     list_mode = args.list
-    n = None if list_mode else _dihedral_order(args.quandle)
+    X = parse_quandle_spec(args.quandle)
     outputs: dict = {}
-    if n is not None:
-        outputs["count"] = count_colorings_dihedral(d, n)
+    if not list_mode and X.formula_t is not None:
+        outputs["count"] = count_colorings_dihedral(d, X.order, X.formula_t)
         outputs["method"] = "snf"
     else:
-        cols = enumerate_colorings(d, parse_quandle_spec(args.quandle))
+        cols = enumerate_colorings(d, X)
         outputs["count"] = len(cols)
         outputs["method"] = "enumeration"
         if list_mode:
@@ -236,8 +221,8 @@ def _cocycle(args, X: FiniteQuandle) -> tuple[Cocycle3, int]:
     name, base = _option(args, "cocycle"), _option(args, "base")
     if name != "mochizuki":
         raise UsageError(f"unknown cocycle {name!r} (only 'mochizuki')")
-    if not X.is_dihedral:
-        raise UsageError("the mochizuki cocycle needs a dihedral:p quandle")
+    if X.formula_t != -1:
+        raise UsageError("the mochizuki cocycle needs R_p: dihedral:p or alexander:p:p-1")
     theta = mochizuki(X.order)
     if not 0 <= base < X.order:
         raise UsageError(f"base {base} out of range 0..{X.order - 1}")
@@ -411,7 +396,8 @@ OPTIONS = {
     "--endos": {"default": "all", "help": "all | auto | 'a,b;a,b;...'"},
     "--weighted": {"action": "store_true", "help": "compare shadow cocycle quivers"},
     "--cocycle": {"default": "mochizuki",
-                  "help": "only mochizuki, which needs dihedral:p with p an odd prime"},
+                  "help": "only mochizuki, which needs R_p (dihedral:p or alexander:p:p-1) "
+                          "with p an odd prime"},
     "--base": {"type": int, "default": 0, "help": "label of the unbounded region"},
     "--out": {"choices": ["json", "dot"], "default": "json", "help": "print JSON or DOT"},
     "--dot": {"metavar": "FILE", "help": "write DOT to a file"},

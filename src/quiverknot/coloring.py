@@ -233,8 +233,8 @@ def module_colorings(n: int, n_arcs: int,
     Each arc's column of values is built whole: it starts as 0..n-1, and
     each generator replaces it by the concatenation of its translates by
     z·y_i[arc] for z = 0..g_i - 1, each a C-level lookup in a table of
-    x -> x + w mod n."""
-    shift = [tuple(range(w, n)) + tuple(range(w)) for w in range(n)]
+    x -> x + w mod n, built the first time w is read."""
+    shifts: dict[int, tuple[int, ...]] = {}
     size = n * math.prod(g for g, _ in basis)
     columns = [list(range(n)) * (size // n)]
     for arc in range(n_arcs - 1):
@@ -243,7 +243,9 @@ def module_colorings(n: int, n_arcs: int,
             block, column = column, []
             for z in range(g):
                 w = z * y[arc] % n
-                column += map(shift[w].__getitem__, block) if w else block
+                if w not in shifts:
+                    shifts[w] = tuple(range(w, n)) + tuple(range(w))
+                column += map(shifts[w].__getitem__, block) if w else block
         columns.append(column)
     return list(zip(*columns))
 
@@ -257,11 +259,12 @@ def coloring_matrix(d: Diagram) -> ColoringMatrix:
                           divisors + (0,) * (size - len(divisors)))
 
 
-def count_colorings_dihedral(d: Diagram, n: int) -> int:
-    """|Col_{R_n}(D)| = n·|M'|, the constants times the colorings with
-    c(arc 0) = 0, counted from ``d.coloring_reduction()``'s divisors."""
+def count_colorings_dihedral(d: Diagram, n: int, t: int = -1) -> int:
+    """The number of colorings by x*y = t*x + (1-t)*y on Z_n (R_n at the
+    default t = -1): n·|M'|, the constants times the colorings with
+    c(arc 0) = 0, counted from ``d.coloring_reduction(t)``'s divisors."""
     check_order(n)
-    return n * solution_count_mod(d.coloring_reduction()[0], d.n_arcs - 1, n)
+    return n * solution_count_mod(d.coloring_reduction(t)[0], d.n_arcs - 1, n)
 
 
 def apply_endo(f: QuandleMap, c: Coloring) -> Coloring:

@@ -4,9 +4,9 @@ A quandle is a set with a binary operation ``*`` such that ``x*x == x``
 (Q1), every right translation ``x -> x*y`` is a bijection (Q2), and the
 operation is right self-distributive, ``(x*y)*z == (x*z)*(y*z)`` (Q3).
 
-Elements are always the integers ``0..n-1`` and the operation is stored
-as a full table, so every axiom and every claimed homomorphism can be
-checked exhaustively.  The dihedral quandle of order n is Z_n with
+Elements are always the integers ``0..n-1`` and every quandle has a
+full operation table, so every axiom and every claimed homomorphism can
+be checked exhaustively.  The dihedral quandle of order n is Z_n with
 ``x*y = 2y - x``; the Alexander quandle with unit t is Z_n with
 ``x*y = t*x + (1-t)*y``.  Both are formula quandles: R_n is the
 Alexander formula at t = -1, and every path that knows the formula
@@ -41,18 +41,21 @@ class QuandleAxiomError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """Order-n quandle backed by an n x n operation table.
+    """Order-n quandle on 0..n-1.
 
     ``op[x][y]`` is x*y and ``inv_op[z][y]`` is the unique x with
     x*y == z (the inverse of the Q2 column bijection).  ``kind`` tags
     the construction: ("dihedral", n), ("alexander", n, t) or ("table",).
-    Instances are immutable and safe to share between threads.
+    A formula quandle is its (n, t) and builds ``op`` and ``inv_op`` on
+    first read; a table quandle holds its checked ``tables``, (op,
+    inv_op), and equality compares them.  Instances are immutable and
+    safe to share between threads: two concurrent first reads at worst
+    build the same table twice.
     """
 
     order: int
-    op: tuple[tuple[int, ...], ...]
-    inv_op: tuple[tuple[int, ...], ...]
-    kind: tuple = ("table",)
+    kind: tuple
+    tables: Optional[tuple] = None
 
     def mul(self, x: int, y: int) -> int:
         return self.op[x][y]
@@ -60,10 +63,6 @@ class FiniteQuandle:
     def unmul(self, z: int, y: int) -> int:
         """The unique x with x*y == z."""
         return self.inv_op[z][y]
-
-    @property
-    def is_dihedral(self) -> bool:
-        return self.kind[0] == "dihedral"
 
     @property
     def formula_t(self) -> Optional[int]:
@@ -78,6 +77,20 @@ class FiniteQuandle:
         return None
 
     @functools.cached_property
+    def op(self) -> tuple[tuple[int, ...], ...]:
+        t = self.formula_t
+        return self.tables[0] if t is None else _alexander_table(self.order, t)
+
+    @functools.cached_property
+    def inv_op(self) -> tuple[tuple[int, ...], ...]:
+        """x*y == z exactly when x = t^-1*z + (1 - t^-1)*y, so a formula
+        quandle's inverse table is the formula's table at t^-1."""
+        t = self.formula_t
+        if t is None:
+            return self.tables[1]
+        return self.op if t == -1 else _alexander_table(self.order, pow(t, -1, self.order))
+
+    @functools.cached_property
     def translation_is_auto(self) -> bool:
         """Whether the translation x -> x+1 (mod n) is an automorphism.
 
@@ -86,7 +99,7 @@ class FiniteQuandle:
         that on the tables.  A table is checked exhaustively, once per
         object.
         """
-        if self.kind[0] in ("dihedral", "alexander"):
+        if self.formula_t is not None:
             return True
         n = self.order
         shift = QuandleMap(n, n, tuple(range(1, n)) + (0,))
@@ -110,8 +123,7 @@ def check_order(n: int) -> None:
 def make_dihedral(n: int) -> FiniteQuandle:
     """The dihedral quandle R_n: Z_n with x*y = 2y - x (so inv_op == op)."""
     check_order(n)
-    op = _alexander_table(n, -1)
-    return FiniteQuandle(n, op, op, kind=("dihedral", n))
+    return FiniteQuandle(n, ("dihedral", n))
 
 
 def make_alexander(n: int, t: int) -> FiniteQuandle:
@@ -119,16 +131,11 @@ def make_alexander(n: int, t: int) -> FiniteQuandle:
 
     Requires gcd(t, n) == 1, otherwise right translations are not
     bijections and Q2 fails.  t = n-1 reproduces the dihedral table.
-    x*y == z exactly when x = t^-1*z + (1 - t^-1)*y, so the inverse table
-    is the Alexander table of t^-1.
     """
     check_order(n)
     if math.gcd(t, n) != 1:
         raise InvalidParameterError(f"t={t} is not a unit mod {n}")
-    t %= n
-    op = _alexander_table(n, t)
-    inv = _alexander_table(n, pow(t, -1, n))
-    return FiniteQuandle(n, op, inv, kind=("alexander", n, t))
+    return FiniteQuandle(n, ("alexander", n, t % n))
 
 
 def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
@@ -161,7 +168,7 @@ def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
             for z in range(n):
                 if op[xy][z] != op[op[x][z]][op[y][z]]:
                     raise QuandleAxiomError(("Q3", x, y, z))
-    return FiniteQuandle(n, op, tuple(tuple(r) for r in inv), kind=("table",))
+    return FiniteQuandle(n, ("table",), (op, tuple(tuple(r) for r in inv)))
 
 
 def parse_table_text(text: str) -> FiniteQuandle:
@@ -377,11 +384,13 @@ def enumerate_autos(X: FiniteQuandle) -> Homs:
 
 
 def affine_endos(X: FiniteQuandle, pairs: Iterable[tuple[int, int]]) -> Homs:
-    """The maps f(x) = a*x + b of the dihedral quandle X, one per pair (a, b).
-    All are endomorphisms: f(x*y) = a(2y - x) + b = 2f(y) - f(x) = f(x)*f(y)."""
-    if not X.is_dihedral:
+    """The maps f(x) = a*x + b of the formula quandle X, x*y = t*x +
+    (1-t)*y on Z_n, one per pair (a, b).  All are endomorphisms, for
+    every t: f(x*y) = a(t*x + (1-t)*y) + b = t(a*x + b) + (1-t)(a*y + b)
+    = f(x)*f(y)."""
+    if X.formula_t is None:
         raise InvalidParameterError(
-            "explicit a,b endomorphism lists require a dihedral quandle")
+            "explicit a,b endomorphism lists require dihedral:n or alexander:n:t")
     n = X.order
     return Homs(X, X, (QuandleMap(n, n, tuple((a % n * x + b) % n for x in range(n)))
                        for a, b in pairs))

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import pytest
 import quiverknot
 import quiverknot.catalog
 import quiverknot.cli
+import quiverknot.quandle
 import quiverknot.quiver
 import quiverknot.snf
 from quiverknot.catalog import CatalogError, load_catalog
@@ -27,6 +29,7 @@ from quiverknot.quiver import (
     shadow_cocycle_quiver,
     to_dot,
 )
+from pd_generators import trefoil_sum_pd
 from test_quiver import count_endo_checks, module_verdict
 
 
@@ -411,20 +414,24 @@ def test_cli_compare(capsys):
 
 
 def test_cli_r_n_is_alexander_n_minus_1(capsys, catalog):
-    # R_n is the Alexander quandle at t = -1, and every path but the a,b
-    # lists, the cocycle and the colorings --count shortcut reads t, not
-    # the name: the listing, the quiver as JSON and DOT, and compare with
-    # --endos all and auto, witnesses included, print the same bytes over
-    # dihedral:n and alexander:n:n-1, apart from the echoed quandle and
-    # the timing.
+    # R_n is the Alexander quandle at t = -1, and no path reads the name,
+    # only (n, t): the count, the listing, the quiver as JSON and DOT over
+    # End and over an a,b list, compare with --endos all and auto,
+    # witnesses included, and over R_p the shadow quiver and a weighted
+    # compare print the same bytes over dihedral:n and alexander:n:n-1,
+    # apart from the echoed quandle and the timing.
     names = catalog.names()
     pairs = [(a, a) for a in names] + list(zip(names, names[1:]))
     for n in (3, 5, 9, 27):
         specs = (f"dihedral:{n}", f"alexander:{n}:{n - 1}")
-        runs = [["colorings", "--knot", k, "--list"] for k in names]
-        runs += [["quiver", "--knot", k, *out] for k in names for out in ([], ["--out", "dot"])]
+        runs = [["colorings", "--knot", k, mode] for k in names for mode in ("--list", "--count")]
+        runs += [["quiver", "--knot", k, *out] for k in names
+                 for out in ([], ["--out", "dot"], ["--endos", "1,0;2,1;0,3"])]
         runs += [["compare", a, b, "--endos", endos] for a, b in pairs
                  for endos in ("all", "auto")]
+        if n in (3, 5):
+            runs += [["shadow", "--knot", k, "--cocycle", "mochizuki"] for k in names]
+            runs += [["compare", a, b, "--weighted"] for a, b in pairs]
         for argv in runs:
             outs = []
             for spec in specs:
@@ -945,15 +952,45 @@ def test_cli_counts_over_a_large_dihedral_quandle(capsys):
     assert blob["outputs"] == {"count": 1001, "method": "snf"}
 
 
-def test_cli_dihedral_count_reads_only_the_order(capsys, monkeypatch, tmp_path):
-    # The SNF count needs n alone, so no R_n table is built on that path;
-    # exit codes, output and errors are those of the path that built it.
-    def no_table(n):
-        raise AssertionError(f"built the table of R_{n}")
+def _cap_memory():
+    # Runs in the child only, between fork and exec.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    monkeypatch.setattr(quiverknot.cli, "make_dihedral", no_table)
+
+@pytest.mark.parametrize("knot, quandle, mode, count", [
+    (trefoil_sum_pd(10), "alexander:7:3", "--count", 7**11),
+    ("4_1", "alexander:1000003:2", "--count", 1000003),
+    ("3_1", "dihedral:100000", "--list", 100000),
+], ids=["trefoil-sum-alexander-7-3", "4_1-alexander-1000003-2", "3_1-dihedral-100000-list"])
+def test_cli_large_formula_quandles_answer_in_bounded_memory(knot, quandle, mode, count):
+    # No table of the quandle is built, and a listing builds only the
+    # shifts it reads: each answers in a child capped at 1 GB of address
+    # space and a minute of wall time.
+    src = os.path.dirname(os.path.dirname(quiverknot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QUIVERKNOT_CATALOG", None)
+    run = subprocess.run([sys.executable, "-m", "quiverknot", "colorings", "--knot", knot,
+                          "--quandle", quandle, mode], env=env, preexec_fn=_cap_memory,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    outputs = json.loads(run.stdout)["outputs"]
+    assert outputs["count"] == count
+    if mode == "--list":
+        assert outputs["colorings"] == [[c] * 3 for c in range(count)]
+    else:
+        assert outputs["method"] == "snf"
+
+
+def test_cli_dihedral_count_reads_only_the_order(capsys, monkeypatch, tmp_path):
+    # The SNF count over a formula quandle needs (n, t) alone, so no table
+    # is built on that path; a bad spec gets the error of the one parse.
     path = tmp_path / "r5.txt"
     path.write_text(table_text(make_dihedral(5)))
+
+    def no_table(n, t):
+        raise AssertionError(f"built the table of x*y = {t}x + {1 - t}y on Z_{n}")
+
+    monkeypatch.setattr(quiverknot.quandle, "_alexander_table", no_table)
     bad = "error: bad quandle spec {!r}: {}\n"
     cases = [
         ("dihedral:0", 2, "", bad.format("dihedral:0", "order must be >= 1, got 0")),
@@ -961,6 +998,15 @@ def test_cli_dihedral_count_reads_only_the_order(capsys, monkeypatch, tmp_path):
         ("dihedral:x", 2, "", bad.format(
             "dihedral:x", "invalid literal for int() with base 10: 'x'")),
         ("dihedral:1001", 0, '"outputs": {"count": 7007, "method": "snf"}', ""),
+        ("alexander:0:1", 2, "", bad.format("alexander:0:1", "order must be >= 1, got 0")),
+        ("alexander:5:5", 2, "", bad.format("alexander:5:5", "t=5 is not a unit mod 5")),
+        ("alexander:x:2", 2, "", bad.format(
+            "alexander:x:2", "invalid literal for int() with base 10: 'x'")),
+        ("alexander:5", 2, "", "error: bad quandle spec 'alexander:5' "
+         "(grammar: dihedral:n | alexander:n:t | table:PATH)\n"),
+        ("alexander:1001:1000", 0, '"outputs": {"count": 7007, "method": "snf"}', ""),
+        ("alexander:11:3", 0, '"outputs": {"count": 121, "method": "snf"}', ""),
+        ("alexander:5:2", 0, '"outputs": {"count": 5, "method": "snf"}', ""),
         (f"table:{path}", 0, '"outputs": {"count": 5, "method": "enumeration"}', ""),
     ]
     for spec, code, outputs, err in cases:

@@ -81,6 +81,22 @@ def test_alexander_examples():
         make_alexander(4, 2)
 
 
+def test_formula_quandles_build_tables_on_first_read():
+    # A formula quandle is its (n, t); equality and hashing read no table,
+    # and a table quandle compares its tables.
+    R5, A5 = make_dihedral(5), make_alexander(5, 2)
+    assert (R5, A5) == (make_dihedral(5), make_alexander(5, 7))
+    assert hash(A5) == hash(make_alexander(5, -3))
+    assert A5 != make_alexander(5, 3) and make_alexander(5, 4) != R5
+    assert "op" not in vars(R5) and "inv_op" not in vars(A5)
+    table = from_table(A5.op)
+    assert table == from_table(A5.op) != from_table(R5.op)
+    assert R5.inv_op is R5.op and A5.inv_op == make_alexander(5, 3).op
+    for X in (R5, A5, table, make_alexander(7, 3)):
+        for clone in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert clone == X and (clone.op, clone.inv_op) == (X.op, X.inv_op)
+
+
 def test_axioms_exhaustive_all_constructions():
     for n in range(1, 13):
         qs = [make_dihedral(n)]
@@ -203,10 +219,19 @@ def test_affine_endos_are_all_of_end_in_pair_order():
         (a * x + b) % 7 for x in range(7))
 
 
-def test_affine_endos_need_a_dihedral_quandle():
-    for X in (make_alexander(5, 2), from_table(make_dihedral(5).op)):
-        with pytest.raises(InvalidParameterError):
-            affine_endos(X, [(1, 0)])
+def test_affine_endos_need_a_formula_quandle():
+    # x -> a*x + b is an endomorphism of x*y = t*x + (1-t)*y for every t;
+    # a table quandle has no formula to read a and b against.
+    with pytest.raises(InvalidParameterError):
+        affine_endos(from_table(make_dihedral(5).op), [(1, 0)])
+    A5 = make_alexander(5, 2)
+    pairs = [(a, b) for a in range(-5, 5) for b in range(5)]
+    endos = affine_endos(A5, pairs)
+    assert [f.image for f in endos] == [
+        tuple((a * x + b) % 5 for x in range(5)) for a, b in pairs]
+    # End(alexander:5:2) is exactly its 25 affine maps.
+    assert set(endos) == set(enumerate_homs(A5, A5))
+    assert (endos.source, endos.target) == (A5, A5)
 
 
 def test_proved_sets_are_tuples_that_name_their_quandles():

@@ -120,7 +120,7 @@ def endo_sets(X):
     hold x -> x+1 with and without the predecessor t^-1 o f of each map
     f, some with repeated maps."""
     homs = enumerate_homs(X, X)
-    if X.is_dihedral:
+    if X.formula_t is not None:
         explicit = parse_endo_spec("1,0;2,1;0,3;5,2;1,1", X)
     else:
         explicit = homs[1::3]
