@@ -17,14 +17,16 @@ monotonic clock.  Quiver JSON and DOT are written one vertex at a time
 from the quiver's target table, so no whole edge list or output string
 is held.
 
-Every command checks its inputs in one order: knots, quandle,
-endomorphisms, then cocycle and base; ``compare`` takes ``--cocycle`` and
+Every command checks its inputs in one order: knots, quandle, cocycle
+and base, then endomorphisms, so a bad cocycle or base is reported
+before the endomorphisms are listed; ``compare`` takes ``--cocycle`` and
 ``--base`` only with ``--weighted``.  ``dihedral:n`` and
 ``alexander:n:t`` are formula quandles, x*y = t*x + (1-t)*y on Z_n with
-R_n at t = -1, and no path reads the name, only (n, t): ``dihedral:n``
-and ``alexander:n:n-1`` print the same bytes apart from the echoed
-quandle.  ``colorings --count`` over a formula quandle is read off the
-divisors of the diagram's coloring reduction at t (``"snf"``), and only
+R_n at t = -1, and a formula quandle is the value (n, t):
+``dihedral:n`` and ``alexander:n:n-1`` are one quandle and print the
+same bytes apart from the echoed quandle.  ``colorings --count`` over a
+formula quandle is read off the divisors of the diagram's coloring
+reduction at t (``"snf"``), and only
 a ``table:`` quandle is enumerated.  After those checks, an unweighted
 ``compare`` over the n^2 maps x -> a*x + b of a formula quandle
 (``--endos all`` on ``dihedral:n``, listed in closed form, or on an
@@ -230,20 +232,24 @@ def _cocycle(args, X: FiniteQuandle) -> tuple[Cocycle3, int]:
 
 
 def _inputs(args, catalog: Catalog, knots: list[str], weighted: bool):
-    """Resolve the knots, the quandle, the endomorphisms and the cocycle
-    and base, in that order; return one diagram per distinct knot string,
-    X, S, theta and the base.  theta and the base are None unless
+    """Resolve the knots, the quandle, the cocycle and base, and the
+    endomorphisms, in that order; return one diagram per distinct knot
+    string, X, S, theta and the base.  theta and the base are None unless
     weighted, and then an explicit ``--cocycle`` or ``--base`` is an
-    error."""
+    error.  The endomorphisms come last since listing them can be the
+    costliest step (End(R_n) is n^2 maps), so a bad cocycle or base is
+    reported before any is listed."""
     resolved = {knot: resolve_knot(knot, catalog) for knot in knots}
     X = parse_quandle_spec(args.quandle)
-    S = parse_endo_spec(args.endos, X)
+    theta = base = None
     if weighted:
-        return (resolved, X, S, *_cocycle(args, X))
-    given = [f"--{name}" for name in ("cocycle", "base") if getattr(args, name, None) is not None]
-    if given:
-        raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
-    return resolved, X, S, None, None
+        theta, base = _cocycle(args, X)
+    else:
+        given = [f"--{name}" for name in ("cocycle", "base")
+                 if getattr(args, name, None) is not None]
+        if given:
+            raise UsageError(f"compare reads {' and '.join(given)} only with --weighted")
+    return resolved, X, parse_endo_spec(args.endos, X), theta, base
 
 
 def _build_quivers(resolved: dict, X: FiniteQuandle, S: Homs, theta, base) -> dict:

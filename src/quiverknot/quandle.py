@@ -8,10 +8,10 @@ Elements are always the integers ``0..n-1`` and every quandle has a
 full operation table, so every axiom and every claimed homomorphism can
 be checked exhaustively.  The dihedral quandle of order n is Z_n with
 ``x*y = 2y - x``; the Alexander quandle with unit t is Z_n with
-``x*y = t*x + (1-t)*y``.  Both are formula quandles: R_n is the
-Alexander formula at t = -1, and every path that knows the formula
-reads its t (``FiniteQuandle.formula_t``), not the name it was built
-under.
+``x*y = t*x + (1-t)*y``.  Both are formula quandles, and a formula
+quandle is the value (n, t) (``FiniteQuandle.formula_t``): R_n is the
+Alexander formula at t = -1, so ``dihedral:n`` and ``alexander:n:n-1``
+are one quandle and compare equal.
 """
 
 from __future__ import annotations
@@ -44,17 +44,19 @@ class FiniteQuandle:
     """Order-n quandle on 0..n-1.
 
     ``op[x][y]`` is x*y and ``inv_op[z][y]`` is the unique x with
-    x*y == z (the inverse of the Q2 column bijection).  ``kind`` tags
-    the construction: ("dihedral", n), ("alexander", n, t) or ("table",).
-    A formula quandle is its (n, t) and builds ``op`` and ``inv_op`` on
-    first read; a table quandle holds its checked ``tables``, (op,
-    inv_op), and equality compares them.  Instances are immutable and
-    safe to share between threads: two concurrent first reads at worst
-    build the same table twice.
+    x*y == z (the inverse of the Q2 column bijection).  A formula
+    quandle, x*y = t*x + (1-t)*y on Z_n, is its (order, ``formula_t``),
+    with t as the integer its coloring rows are built with: -1 for every
+    t that is -1 mod n, R_n among them, else t in 0..n-1.  It builds
+    ``op`` and ``inv_op`` on first read.  A table quandle has ``formula_t``
+    None, holds its checked ``tables``, (op, inv_op), and equality
+    compares them.  Instances are immutable and safe to share between
+    threads: two concurrent first reads at worst build the same table
+    twice.
     """
 
     order: int
-    kind: tuple
+    formula_t: Optional[int]
     tables: Optional[tuple] = None
 
     def mul(self, x: int, y: int) -> int:
@@ -63,18 +65,6 @@ class FiniteQuandle:
     def unmul(self, z: int, y: int) -> int:
         """The unique x with x*y == z."""
         return self.inv_op[z][y]
-
-    @property
-    def formula_t(self) -> Optional[int]:
-        """The t of a formula quandle, x*y = t*x + (1-t)*y on Z_n, as the
-        integer its coloring rows are built with: -1 for every t that is
-        -1 mod n, R_n among them, else t in 0..n-1; None for a table."""
-        if self.kind[0] == "dihedral":
-            return -1
-        if self.kind[0] == "alexander":
-            t = self.kind[2]
-            return -1 if (t + 1) % self.order == 0 else t
-        return None
 
     @functools.cached_property
     def op(self) -> tuple[tuple[int, ...], ...]:
@@ -106,7 +96,8 @@ class FiniteQuandle:
         return is_homomorphism(shift, self, self)
 
     def __repr__(self) -> str:
-        return f"FiniteQuandle({'/'.join(map(str, self.kind))}, order={self.order})"
+        shape = "table" if self.formula_t is None else f"t={self.formula_t}"
+        return f"FiniteQuandle(order={self.order}, {shape})"
 
 
 def _alexander_table(n: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -122,20 +113,19 @@ def check_order(n: int) -> None:
 
 def make_dihedral(n: int) -> FiniteQuandle:
     """The dihedral quandle R_n: Z_n with x*y = 2y - x (so inv_op == op)."""
-    check_order(n)
-    return FiniteQuandle(n, ("dihedral", n))
+    return make_alexander(n, -1)
 
 
 def make_alexander(n: int, t: int) -> FiniteQuandle:
     """The Alexander quandle on Z_n with x*y = t*x + (1-t)*y.
 
     Requires gcd(t, n) == 1, otherwise right translations are not
-    bijections and Q2 fails.  t = n-1 reproduces the dihedral table.
+    bijections and Q2 fails.  t = n-1 is the dihedral quandle R_n.
     """
     check_order(n)
     if math.gcd(t, n) != 1:
         raise InvalidParameterError(f"t={t} is not a unit mod {n}")
-    return FiniteQuandle(n, ("alexander", n, t % n))
+    return FiniteQuandle(n, -1 if (t + 1) % n == 0 else t % n)
 
 
 def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
@@ -168,7 +158,7 @@ def from_table(rows: Sequence[Sequence[int]]) -> FiniteQuandle:
             for z in range(n):
                 if op[xy][z] != op[op[x][z]][op[y][z]]:
                     raise QuandleAxiomError(("Q3", x, y, z))
-    return FiniteQuandle(n, ("table",), (op, tuple(tuple(r) for r in inv)))
+    return FiniteQuandle(n, None, (op, tuple(tuple(r) for r in inv)))
 
 
 def parse_table_text(text: str) -> FiniteQuandle:
@@ -331,9 +321,9 @@ def enumerate_homs(X: FiniteQuandle, Y: FiniteQuandle) -> Homs:
     Alexander quandles and by ``from_table``'s check for tables.
 
     End(R_n) needs no search: it is the n^2 maps f(x) = a*x + b, for
-    every n, and so is End of every formula quandle whose t is -1 mod n,
-    which has R_n's table (``FiniteQuandle.formula_t``).  Each map is an
-    endomorphism (``is_affine_end``).  Conversely
+    every n, and R_n is every formula quandle whose t is -1 mod n
+    (``FiniteQuandle.formula_t``).  Each map is an endomorphism
+    (``is_affine_end``).  Conversely
     (k-1)*k = k+1, so R_n is generated by 0 and 1, and an endomorphism f
     has f(k+1) = 2f(k) - f(k-1): f(0) = b and f(1) = a + b force
     f(k) = a*k + b by induction.  So f is fixed by (f(0), f(1)), the

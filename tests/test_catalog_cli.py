@@ -981,6 +981,23 @@ def test_cli_large_formula_quandles_answer_in_bounded_memory(knot, quandle, mode
         assert outputs["method"] == "snf"
 
 
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--knot", "4_1", "--quandle", "dihedral:1001"],
+    ["compare", "4_1", "5_1", "--quandle", "dihedral:1001", "--weighted"],
+], ids=["shadow", "compare-weighted"])
+def test_cli_bad_cocycle_is_reported_before_the_endomorphisms_are_listed(argv):
+    # End(R_1001) is 10^6 maps; the mochizuki cocycle needs an odd prime
+    # order, and that is checked first, in a child capped at 1 GB of
+    # address space and a few seconds of wall time.
+    src = os.path.dirname(os.path.dirname(quiverknot.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QUIVERKNOT_CATALOG", None)
+    run = subprocess.run([sys.executable, "-m", "quiverknot", *argv], env=env,
+                         preexec_fn=_cap_memory, capture_output=True, text=True, timeout=5)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: 1001 is not an odd prime\n"
+
+
 def test_cli_dihedral_count_reads_only_the_order(capsys, monkeypatch, tmp_path):
     # The SNF count over a formula quandle needs (n, t) alone, so no table
     # is built on that path; a bad spec gets the error of the one parse.

@@ -83,11 +83,13 @@ def test_alexander_examples():
 
 def test_formula_quandles_build_tables_on_first_read():
     # A formula quandle is its (n, t); equality and hashing read no table,
-    # and a table quandle compares its tables.
+    # R_5 and alexander:5:4 are one value, and a table quandle compares
+    # its tables.
     R5, A5 = make_dihedral(5), make_alexander(5, 2)
     assert (R5, A5) == (make_dihedral(5), make_alexander(5, 7))
     assert hash(A5) == hash(make_alexander(5, -3))
-    assert A5 != make_alexander(5, 3) and make_alexander(5, 4) != R5
+    assert A5 != make_alexander(5, 3)
+    assert make_alexander(5, 4) == R5 and hash(make_alexander(5, 4)) == hash(R5)
     assert "op" not in vars(R5) and "inv_op" not in vars(A5)
     table = from_table(A5.op)
     assert table == from_table(A5.op) != from_table(R5.op)
@@ -95,6 +97,19 @@ def test_formula_quandles_build_tables_on_first_read():
     for X in (R5, A5, table, make_alexander(7, 3)):
         for clone in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
             assert clone == X and (clone.op, clone.inv_op) == (X.op, X.inv_op)
+
+
+def test_r_n_is_alexander_n_minus_1_as_a_value():
+    for n in range(1, 31):
+        R, A = make_dihedral(n), make_alexander(n, n - 1)
+        assert R == A and hash(R) == hash(A) and R.formula_t == A.formula_t == -1
+
+
+def test_repr_names_order_and_t_or_table():
+    assert repr(make_dihedral(5)) == "FiniteQuandle(order=5, t=-1)"
+    assert repr(make_alexander(5, 4)) == "FiniteQuandle(order=5, t=-1)"
+    assert repr(make_alexander(9, 11)) == "FiniteQuandle(order=9, t=2)"
+    assert repr(from_table(make_dihedral(3).op)) == "FiniteQuandle(order=3, table)"
 
 
 def test_axioms_exhaustive_all_constructions():

@@ -248,14 +248,24 @@ def test_proof_for_another_quandle_is_checked(catalog, monkeypatch):
     assert sum(not is_homomorphism(f, R9, R9) for f in end_a9) == 162
     with pytest.raises(InvalidParameterError):
         coloring_quiver(d, R9, end_a9)
-    # Hom(R_5, alexander:5:4) holds the same maps as End(R_5), but its
-    # target is another quandle, so it is checked, and passes.
+    # alexander:5:4 is R_5, so Hom(R_5, alexander:5:4) is End(R_5), a
+    # proof for the same quandle, and is not checked again.
     R5 = make_dihedral(5)
     homs = enumerate_homs(R5, make_alexander(5, 4))
     checked = count_endo_checks(monkeypatch)
     assert coloring_quiver(d, R5, homs).targets == coloring_quiver(
         d, R5, enumerate_homs(R5, R5)).targets
-    assert checked == list(homs)
+    assert checked == []
+
+
+def test_end_r_n_serves_alexander_n_minus_1_unchecked(catalog, monkeypatch):
+    d = catalog.diagram("4_1")
+    checked = count_endo_checks(monkeypatch)
+    for n in (3, 5, 7):
+        R, A = make_dihedral(n), make_alexander(n, n - 1)
+        end_r = enumerate_homs(R, R)
+        assert coloring_quiver(d, A, end_r).targets == coloring_quiver(d, R, end_r).targets
+    assert checked == []
 
 
 def test_plain_sequences_are_checked_once_per_call(catalog, monkeypatch):
